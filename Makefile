@@ -24,14 +24,14 @@ lint:
 	fi
 
 # Tier-1 chain: vet, full test run, a race pass over the concurrent
-# packages (the parallel sweep engine and matvec kernels, the matching
-# substrate, the portfolio racer, the job engine, the cluster
-# coordinator, and the HTTP daemon), and a 10-second fuzz smoke of the
-# Bookshelf writer round trip.
+# packages (the parallel sweep engine and matvec kernels, the
+# eigensolver's parallel Ritz replay, the matching substrate, the
+# portfolio racer, the job engine, the cluster coordinator, and the HTTP
+# daemon), and a 10-second fuzz smoke of the Bookshelf writer round trip.
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/core ./internal/bipartite ./internal/sparse ./internal/par ./internal/multiway ./internal/portfolio ./internal/features ./internal/service ./internal/cluster ./cmd/igpartd
+	$(GO) test -race ./internal/core ./internal/bipartite ./internal/sparse ./internal/eigen ./internal/par ./internal/multiway ./internal/portfolio ./internal/features ./internal/service ./internal/cluster ./cmd/igpartd
 	$(GO) test ./internal/hypergraph -run '^$$' -fuzz '^FuzzBookshelfRoundTrip$$' -fuzztime 10s
 
 # CI fuzz smoke: 10 seconds each on the Bookshelf writer round trip, the

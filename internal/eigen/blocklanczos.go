@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"time"
 
 	"igpart/internal/obs"
 	"igpart/internal/sparse"
@@ -31,37 +32,31 @@ import (
 // drift probe (one O(n) dot against the oldest basis vector, the
 // direction round-off drifts toward first) escalates to a full cleanup
 // whenever semiorthogonality √ε is lost.
-func blockCycle(op Operator, start []float64, project func([]float64), opts Options, rng *rand.Rand) (float64, []float64, float64, cycleStats, error) {
+func blockCycle(op Operator, start []float64, deflate [][]float64, opts Options, rng *rand.Rand) (float64, []float64, float64, cycleStats, error) {
 	n := op.N()
 	bs := opts.BlockSize
 	var st cycleStats
 	workers := opts.matvecWorkers(n)
 	selective := opts.selectiveReorth(n)
 
-	var basis [][]float64
+	var basis, seq [][]float64
 	blockLo := 0 // start of the block currently being expanded from
 
 	// orthonormalize projects v against the deflation space and the basis
 	// and appends it when it survives.
 	orthonormalize := func(v []float64, threshold float64) bool {
-		project(v)
+		t0 := time.Now()
+		defer func() { st.reorthNS += time.Since(t0) }()
+		mgs(v, deflate)
 		full := func() {
-			for pass := 0; pass < 2; pass++ {
-				for _, u := range basis {
-					sparse.Axpy(-sparse.Dot(u, v), u, v)
-				}
-				project(v)
-			}
+			seq = reorthSeq(seq, basis, deflate)
+			mgs(v, seq)
 		}
 		if !selective || blockLo == 0 {
 			full()
 		} else {
-			for pass := 0; pass < 2; pass++ {
-				for _, u := range basis[blockLo:] {
-					sparse.Axpy(-sparse.Dot(u, v), u, v)
-				}
-				project(v)
-			}
+			seq = reorthSeq(seq, basis[blockLo:], deflate)
+			mgs(v, seq)
 			nrm := sparse.Norm2(v)
 			if nrm > threshold && math.Abs(sparse.Dot(basis[0], v))/nrm > omegaThreshold {
 				full()
@@ -101,8 +96,7 @@ func blockCycle(op Operator, start []float64, project func([]float64), opts Opti
 		grew := false
 		w := make([]float64, n)
 		for j := blockLo; j < hi && len(basis) < opts.MaxSteps; j++ {
-			opMulVec(op, w, basis[j], workers)
-			st.matvecs++
+			st.matvec(op, w, basis[j], workers)
 			if orthonormalize(append([]float64(nil), w...), 1e-10) {
 				grew = true
 			}
@@ -122,10 +116,10 @@ func blockCycle(op Operator, start []float64, project func([]float64), opts Opti
 	img := make([][]float64, m)
 	for j := 0; j < m; j++ {
 		img[j] = make([]float64, n)
-		opMulVec(op, img[j], basis[j], workers)
-		st.matvecs++
-		project(img[j])
+		st.matvec(op, img[j], basis[j], workers)
+		mgs(img[j], deflate)
 	}
+	t0 := time.Now()
 	T := sparse.NewSymDense(m)
 	for i := 0; i < m; i++ {
 		for j := i; j < m; j++ {
@@ -141,12 +135,12 @@ func blockCycle(op Operator, start []float64, project func([]float64), opts Opti
 	for j := 0; j < m; j++ {
 		sparse.Axpy(z[j][m-1], basis[j], ritz)
 	}
-	project(ritz)
+	mgs(ritz, deflate)
 	sparse.Normalize(ritz)
+	st.ritzNS = time.Since(t0)
 	w := make([]float64, n)
-	opMulVec(op, w, ritz, workers)
-	st.matvecs++
-	project(w)
+	st.matvec(op, w, ritz, workers)
+	mgs(w, deflate)
 	sparse.Axpy(-theta, ritz, w)
 	return theta, ritz, sparse.Norm2(w), st, nil
 }
@@ -154,11 +148,6 @@ func blockCycle(op Operator, start []float64, project func([]float64), opts Opti
 // largestDeflatedBlock is the block-mode counterpart of LargestDeflated.
 func largestDeflatedBlock(op Operator, deflate [][]float64, opts Options) (float64, []float64, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
-	project := func(x []float64) {
-		for _, d := range deflate {
-			sparse.Axpy(-sparse.Dot(d, x), d, x)
-		}
-	}
 	rec := obs.OrNop(opts.Rec)
 	cycles := 0
 	defer func() {
@@ -178,14 +167,9 @@ func largestDeflatedBlock(op Operator, deflate [][]float64, opts Options) (float
 		cycles++
 		csp := rec.StartSpan("block-lanczos-cycle")
 		csp.Count("block", int64(opts.BlockSize))
-		th, v, res, cst, err := blockCycle(op, start, project, opts, rng)
-		csp.Count("matvecs", int64(cst.matvecs))
+		th, v, res, cst, err := blockCycle(op, start, deflate, opts, rng)
+		cst.record(csp, op.N())
 		csp.End()
-		met := rec.Metrics()
-		met.Counter("eigen.matvecs").Add(int64(cst.matvecs))
-		met.Counter("eigen.matvec.rows").Add(int64(cst.matvecs) * int64(op.N()))
-		met.Counter("eigen.reorth.skipped").Add(int64(cst.reorthSkipped))
-		met.Counter("eigen.reorth.forced").Add(int64(cst.reorthForced))
 		if err != nil {
 			return 0, nil, err
 		}

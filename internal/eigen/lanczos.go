@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"time"
 
 	"igpart/internal/fault"
 	"igpart/internal/obs"
@@ -65,13 +66,15 @@ type Options struct {
 	ReorthMode ReorthMode
 	// MatvecWorkers bounds the worker goroutines of the row-sharded
 	// parallel matvec on operators that support it (CSR Laplacians and
-	// their shifted wrappers). 0 selects auto — GOMAXPROCS workers once
-	// the dimension reaches parMatvecMinRows, serial below it; 1 forces
-	// the serial kernel; negative means GOMAXPROCS unconditionally.
-	// Results are bit-identical for every value.
+	// their shifted wrappers), and of the Ritz-vector replay of each
+	// cycle. 0 selects auto — GOMAXPROCS workers once the dimension
+	// reaches parMatvecMinRows, serial below it; 1 forces the serial
+	// kernels; negative means GOMAXPROCS unconditionally. Results are
+	// bit-identical for every value.
 	MatvecWorkers int
 	// Rec, when non-nil, receives one stage span per restart cycle
-	// (Krylov steps, matrix–vector products) plus restart counters.
+	// (Krylov steps, matrix–vector products, and the cycle's wall time
+	// split into matvec_ns, reorth_ns and ritz_ns) plus restart counters.
 	// Recording never changes the iteration.
 	Rec obs.Recorder
 	// Ctx, when non-nil, enables cooperative cancellation: the solver
@@ -212,10 +215,13 @@ func (o Options) withDefaults(n int) Options {
 // vectors (which must each be unit length and mutually orthogonal). With an
 // empty deflation set it is a plain symmetric Lanczos extremal solve.
 //
-// The method is Lanczos with full reorthogonalization (each new Krylov
-// vector is re-orthogonalized against every stored basis vector and every
-// deflation vector), restarted from the best Ritz vector until the residual
-// ‖op·x − θx‖ falls below Tol·|θ| or MaxRestarts cycles elapse.
+// The method is Lanczos restarted from the best Ritz vector until the
+// residual ‖op·x − θx‖ falls below Tol·|θ| or MaxRestarts cycles elapse.
+// Every Krylov vector is kept orthogonal to the deflation vectors; its
+// orthogonality to the stored basis follows Options.ReorthMode: by
+// default the ω-monitored selective scheme from ReorthAutoCutoff up, and
+// full reorthogonalization (against every basis and deflation vector,
+// twice) below it.
 func LargestDeflated(op Operator, deflate [][]float64, opts Options) (float64, []float64, error) {
 	n := op.N()
 	if n == 0 {
@@ -244,12 +250,6 @@ func LargestDeflated(op Operator, deflate [][]float64, opts Options) (float64, [
 		start[i] = rng.NormFloat64()
 	}
 
-	project := func(x []float64) {
-		for _, d := range deflate {
-			sparse.Axpy(-sparse.Dot(d, x), d, x)
-		}
-	}
-
 	rec := obs.OrNop(opts.Rec)
 	cycles := 0
 	defer func() {
@@ -265,21 +265,16 @@ func LargestDeflated(op Operator, deflate [][]float64, opts Options) (float64, [
 		residual = math.Inf(1)
 	)
 	x := start
+	ws := lanczosWork{w: make([]float64, n)}
 	for cycle := 0; cycle < opts.MaxRestarts; cycle++ {
 		if err := ctxErr(opts.Ctx); err != nil {
 			return 0, nil, err
 		}
 		cycles++
 		csp := rec.StartSpan("lanczos-cycle")
-		th, v, res, cst, err := lanczosCycle(op, x, project, opts, rng)
-		csp.Count("steps", int64(cst.steps))
-		csp.Count("matvecs", int64(cst.matvecs))
+		th, v, res, cst, err := lanczosCycle(op, x, deflate, opts, rng, &ws)
+		cst.record(csp, n)
 		csp.End()
-		met := rec.Metrics()
-		met.Counter("eigen.matvecs").Add(int64(cst.matvecs))
-		met.Counter("eigen.matvec.rows").Add(int64(cst.matvecs) * int64(n))
-		met.Counter("eigen.reorth.skipped").Add(int64(cst.reorthSkipped))
-		met.Counter("eigen.reorth.forced").Add(int64(cst.reorthForced))
 		if err != nil {
 			return 0, nil, err
 		}
@@ -310,12 +305,64 @@ type cycleStats struct {
 	matvecs       int // operator applications (steps + residual checks)
 	reorthSkipped int // selective steps where the ω-monitor skipped full reorth
 	reorthForced  int // selective steps where it triggered full reorth
+	// Wall time split of the cycle: operator applications, orthogonality
+	// upkeep (Gram–Schmidt passes and the ω-monitor), and the projected
+	// eigensolve plus Ritz-vector assembly. The remainder is the
+	// three-term recurrence and its norms.
+	matvecNS, reorthNS, ritzNS time.Duration
 }
 
-// lanczosCycle runs one restart cycle from the given starting vector and
+// record adds one cycle's counters to its span and to the run's metrics
+// registry. n is the operator dimension.
+func (st cycleStats) record(sp obs.Recorder, n int) {
+	sp.Count("steps", int64(st.steps))
+	sp.Count("matvecs", int64(st.matvecs))
+	sp.Count("matvec_ns", int64(st.matvecNS))
+	sp.Count("reorth_ns", int64(st.reorthNS))
+	sp.Count("ritz_ns", int64(st.ritzNS))
+	met := sp.Metrics()
+	met.Counter("eigen.matvecs").Add(int64(st.matvecs))
+	met.Counter("eigen.matvec.rows").Add(int64(st.matvecs) * int64(n))
+	met.Counter("eigen.reorth.skipped").Add(int64(st.reorthSkipped))
+	met.Counter("eigen.reorth.forced").Add(int64(st.reorthForced))
+	met.Counter("eigen.matvec_ns").Add(int64(st.matvecNS))
+	met.Counter("eigen.reorth_ns").Add(int64(st.reorthNS))
+	met.Counter("eigen.ritz_ns").Add(int64(st.ritzNS))
+}
+
+// matvec applies op and charges the time to the cycle.
+func (st *cycleStats) matvec(op Operator, y, x []float64, workers int) {
+	t0 := time.Now()
+	opMulVec(op, y, x, workers)
+	st.matvecNS += time.Since(t0)
+	st.matvecs++
+}
+
+// lanczosWork is the storage one solve reuses across its restart cycles:
+// the Krylov basis vectors, the length-n work vector w, the Gram–Schmidt
+// sequence buffer and the Ritz extraction buffers. A restart allocates no new
+// basis, so peak memory does not grow with the cycle count.
+type lanczosWork struct {
+	vecs [][]float64
+	w    []float64
+	seq  [][]float64
+	ritz ritzWork
+}
+
+// vec returns basis slot j of length n, allocating it on first use.
+func (ws *lanczosWork) vec(j, n int) []float64 {
+	for len(ws.vecs) <= j {
+		ws.vecs = append(ws.vecs, make([]float64, n))
+	}
+	return ws.vecs[j]
+}
+
+// lanczosCycle runs one restart cycle from the given starting vector,
+// keeping every Krylov vector orthogonal to the deflate vectors, and
 // returns the best Ritz pair, its residual norm, and the cycle's work
-// counters.
-func lanczosCycle(op Operator, start []float64, project func([]float64), opts Options, rng *rand.Rand) (float64, []float64, float64, cycleStats, error) {
+// counters. The returned Ritz vector is freshly allocated; everything
+// else lives in ws.
+func lanczosCycle(op Operator, start []float64, deflate [][]float64, opts Options, rng *rand.Rand, ws *lanczosWork) (float64, []float64, float64, cycleStats, error) {
 	n := op.N()
 	var st cycleStats
 	basis := make([][]float64, 0, opts.MaxSteps)
@@ -328,29 +375,27 @@ func lanczosCycle(op Operator, start []float64, project func([]float64), opts Op
 		mon = newOmegaMonitor(opts.MaxSteps, n)
 	}
 
-	v := append([]float64(nil), start...)
-	project(v)
+	v := ws.vec(0, n)
+	copy(v, start)
+	mgs(v, deflate)
 	if sparse.Normalize(v) == 0 {
 		// Start vector lies entirely in the deflated space; draw a random one.
 		for i := range v {
 			v[i] = rng.NormFloat64()
 		}
-		project(v)
+		mgs(v, deflate)
 		if sparse.Normalize(v) == 0 {
 			return 0, nil, 0, st, errors.New("eigen: cannot find a starting vector outside the deflation space")
 		}
 	}
 	basis = append(basis, v)
 
-	w := make([]float64, n)
-	// Full reorthogonalization, twice for stability ("twice is enough").
+	w := ws.w
+	// Full reorthogonalization: one Gram–Schmidt run over the basis and
+	// the deflation vectors, twice for stability ("twice is enough").
 	fullReorth := func() {
-		for pass := 0; pass < 2; pass++ {
-			for _, b := range basis {
-				sparse.Axpy(-sparse.Dot(b, w), b, w)
-			}
-			project(w)
-		}
+		ws.seq = reorthSeq(ws.seq, basis, deflate)
+		mgs(w, ws.seq)
 	}
 	// In selective mode a triggered cleanup also covers the following
 	// step: ω estimates for the in-between vector are unreliable until
@@ -363,15 +408,16 @@ func lanczosCycle(op Operator, start []float64, project func([]float64), opts Op
 			}
 		}
 		vj := basis[j]
-		opMulVec(op, w, vj, workers)
-		st.matvecs++
-		project(w)
-		a := sparse.Dot(vj, w)
+		st.matvec(op, w, vj, workers)
+		// Deflate, then α_j = v_j·w and w −= α_j·v_j: one Gram–Schmidt run
+		// whose last coefficient is α_j.
+		ws.seq = append(append(ws.seq[:0], deflate...), vj)
+		a := mgs(w, ws.seq)
 		alpha = append(alpha, a)
-		sparse.Axpy(-a, vj, w)
 		if j > 0 {
 			sparse.Axpy(-beta[j-1], basis[j-1], w)
 		}
+		t0 := time.Now()
 		if !selective {
 			fullReorth()
 		} else {
@@ -387,47 +433,39 @@ func lanczosCycle(op Operator, start []float64, project func([]float64), opts Op
 				mon.reset()
 				st.reorthForced++
 			} else {
-				project(w)
+				mgs(w, deflate)
 				st.reorthSkipped++
 			}
 		}
+		st.reorthNS += time.Since(t0)
 		st.steps++
 		bnorm := sparse.Norm2(w)
 		if bnorm <= 1e-14*(math.Abs(a)+1) || j == opts.MaxSteps-1 {
 			break // invariant subspace found or step budget exhausted
 		}
 		beta = append(beta, bnorm)
-		next := make([]float64, n)
+		next := ws.vec(j+1, n)
 		copy(next, w)
 		sparse.Scale(1/bnorm, next)
 		basis = append(basis, next)
 	}
 
+	t0 := time.Now()
 	m := len(alpha)
-	vals, z, err := SymTridiagonal(alpha[:m], beta[:min(len(beta), m-1)], true)
+	theta, y, err := ws.ritz.top(alpha, beta[:min(len(beta), m-1)], workers)
 	if err != nil {
 		return 0, nil, 0, st, err
 	}
-	// Largest Ritz value is the last (ascending order).
-	k := m - 1
-	theta := vals[k]
 	ritz := make([]float64, n)
 	for j := 0; j < m; j++ {
-		sparse.Axpy(z[j][k], basis[j], ritz)
+		sparse.Axpy(y[j], basis[j], ritz)
 	}
-	project(ritz)
+	mgs(ritz, deflate)
 	sparse.Normalize(ritz)
+	st.ritzNS = time.Since(t0)
 	// True residual ‖op·x − θx‖ for the assembled Ritz vector.
-	opMulVec(op, w, ritz, workers)
-	st.matvecs++
-	project(w)
+	st.matvec(op, w, ritz, workers)
+	mgs(w, deflate)
 	sparse.Axpy(-theta, ritz, w)
 	return theta, ritz, sparse.Norm2(w), st, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

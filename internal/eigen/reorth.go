@@ -3,6 +3,8 @@ package eigen
 import (
 	"fmt"
 	"math"
+
+	"igpart/internal/sparse"
 )
 
 // ReorthMode selects the reorthogonalization strategy of the Lanczos
@@ -61,6 +63,46 @@ func ParseReorthMode(s string) (ReorthMode, error) {
 	default:
 		return ReorthAuto, fmt.Errorf("eigen: unknown reorth mode %q (want auto, full or selective)", s)
 	}
+}
+
+// mgs is the package's one modified Gram–Schmidt kernel: it removes from
+// w its component along each vector of vs in turn, w −= (v·w)v, and
+// returns the last coefficient v·w. Each axpy is fused with the next
+// vector's dot product into a single pass over w. Both keep the element
+// order k = 0…n−1 of sparse.Axpy and sparse.Dot, and the dot reads each
+// w[k] right after its update, as a separate Dot pass would, so the
+// result is bit-identical to `for v in vs: Axpy(−Dot(v, w), v, w)`.
+func mgs(w []float64, vs [][]float64) float64 {
+	if len(vs) == 0 {
+		return 0
+	}
+	c := sparse.Dot(vs[0], w)
+	last := len(vs) - 1
+	for j, v := range vs[:last] {
+		a := -c
+		v = v[:len(w)]
+		next := vs[j+1][:len(w)]
+		s := 0.0
+		for k, x := range v {
+			w[k] += a * x
+			s += next[k] * w[k]
+		}
+		c = s
+	}
+	sparse.Axpy(-c, vs[last], w)
+	return c
+}
+
+// reorthSeq fills buf with the full-reorthogonalization sequence for mgs:
+// the vectors of vs and then the deflation vectors, twice ("twice is
+// enough").
+func reorthSeq(buf, vs, deflate [][]float64) [][]float64 {
+	buf = buf[:0]
+	for pass := 0; pass < 2; pass++ {
+		buf = append(buf, vs...)
+		buf = append(buf, deflate...)
+	}
+	return buf
 }
 
 // selectiveReorth resolves Options.ReorthMode against the dimension.
