@@ -23,15 +23,12 @@ lint:
 		echo "lint: staticcheck not installed, skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# Tier-1 chain: vet, full test run, a race pass over the concurrent
-# packages (the parallel sweep engine and matvec kernels, the
-# eigensolver's parallel Ritz replay, the matching substrate, the
-# portfolio racer, the job engine, the cluster coordinator, and the HTTP
-# daemon), and a 10-second fuzz smoke of the Bookshelf writer round trip.
+# Tier-1 chain: vet, full test run, a race pass over every package, and
+# a 10-second fuzz smoke of the Bookshelf writer round trip.
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/core ./internal/bipartite ./internal/sparse ./internal/eigen ./internal/par ./internal/multiway ./internal/portfolio ./internal/features ./internal/service ./internal/cluster ./cmd/igpartd
+	$(GO) test -race ./...
 	$(GO) test ./internal/hypergraph -run '^$$' -fuzz '^FuzzBookshelfRoundTrip$$' -fuzztime 10s
 
 # CI fuzz smoke: 10 seconds each on the Bookshelf writer round trip, the
@@ -57,8 +54,8 @@ chaos:
 	$(GO) test -race ./internal/core -run 'Panic|SlowShard|FaultThreaded'
 	$(GO) test -race ./internal/eigen -run 'Fallback|NoConverge|Rung|NonFinite'
 	$(GO) test -race ./internal/service -run 'Chaos|Retry|Backoff|Health|Validate|ShutdownRacingCancel'
-	$(GO) test -race ./internal/cluster -run 'Failover|Dead|JournalRecovery|Backpressure|Lease|Standby|Membership|Backends|Crash|Probe'
-	$(GO) test -race ./cmd/igpartd -run 'Readyz|Liveness|IOReadErr|BadRequest|ClusterChaos|ClusterCoordinatorRestart|Standby|SwitchHandler'
+	$(GO) test -race ./internal/cluster -run 'Failover|Dead|JournalRecovery|Backpressure|Lease|Standby|Membership|Backends|Crash|Probe|JournalFailure'
+	$(GO) test -race ./cmd/igpartd -run 'Readyz|Liveness|IOReadErr|BadRequest|ClusterChaos|ClusterCoordinatorRestart|Standby|SwitchHandler|JournalFailure'
 
 # CI bench sanity: regenerate the small-circuit report and fail on any
 # ratio-cut regression beyond 10% of the checked-in baseline, hold the

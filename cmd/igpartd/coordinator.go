@@ -1,29 +1,3 @@
-// igpartd's cluster-mode HTTP layer: a coordinator façade over
-// internal/cluster that keeps the single-node wire API and adds batch
-// intake.
-//
-// Endpoints:
-//
-//	POST   /v1/jobs      submit one job; routed to a backend by
-//	                     consistent hashing on the netlist's content
-//	                     address (202 + cluster job id)
-//	GET    /v1/jobs/{id} poll a cluster job; terminal jobs relay the
-//	                     backend's result verbatim
-//	PATCH  /v1/jobs/{id} submit an ECO delta against a finished cluster
-//	                     job; forwarded to the backend that solved the
-//	                     base (pinned — its cache holds the warm state)
-//	DELETE /v1/jobs/{id} cancel (propagated to the owning backend)
-//	POST   /v1/batches   submit many jobs in one request; the chunked
-//	                     NDJSON response streams one event per job
-//	                     completion (with its obs span) as they finish
-//	GET    /healthz      liveness (alias /livez)
-//	GET    /readyz       fleet readiness: 503 until >= 1 backend ready
-//	GET    /metrics      coordinator counters + proxied per-backend
-//	                     /metrics, one aggregate document
-//
-// Submissions are re-serialized with the netlist inlined before
-// forwarding, so backends need no shared filesystem; the -data flag
-// only governs what the coordinator itself may read.
 package main
 
 import (
@@ -33,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
@@ -52,34 +25,22 @@ import (
 // bursts and the streamed response's lifetime, not memory).
 const maxBatchJobs = 256
 
-// coordServer routes HTTP requests onto a cluster.Coordinator.
-type coordServer struct {
+// newCoordServer serves the cluster API over a cluster.Coordinator: the
+// single-node job routes plus batch intake. Submissions are
+// re-serialized with the netlist inlined before forwarding, so backends
+// need no shared filesystem; dataDir only governs what the coordinator
+// itself may read.
+func newCoordServer(coord *cluster.Coordinator, dataDir string, maxBody int64) http.Handler {
+	return newHandler(coordRole{coord, dataDir}, maxBody)
+}
+
+// coordRole is the coordinator role: jobs are routed to backends.
+type coordRole struct {
 	coord   *cluster.Coordinator
 	dataDir string
-	maxBody int64
-	mux     *http.ServeMux
 }
 
-func newCoordServer(coord *cluster.Coordinator, dataDir string, maxBody int64) *coordServer {
-	if maxBody <= 0 {
-		maxBody = 32 << 20
-	}
-	s := &coordServer{coord: coord, dataDir: dataDir, maxBody: maxBody, mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
-	s.mux.HandleFunc("PATCH /v1/jobs/{id}", s.handlePatch)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	s.mux.HandleFunc("POST /v1/batches", s.handleBatch)
-	s.mux.HandleFunc("GET /healthz", s.handleLive)
-	s.mux.HandleFunc("GET /livez", s.handleLive)
-	s.mux.HandleFunc("GET /readyz", s.handleReady)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	return s
-}
-
-func (s *coordServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
-}
+var _ batchRole = coordRole{}
 
 // prepare resolves one submission into its routing key and the
 // backend-ready forward body: the netlist is loaded here (inline or
@@ -87,8 +48,8 @@ func (s *coordServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // the ring key — the very key the backends' result caches use, so the
 // cache shards across the fleet with zero invalidation protocol — and
 // the request is re-marshalled with the netlist inlined.
-func (s *coordServer) prepare(req *submitRequest) (key string, body []byte, err error) {
-	h, err := loadNetlist(req, s.dataDir, nil)
+func (c coordRole) prepare(req *submitRequest) (key string, body []byte, err error) {
+	h, err := loadNetlist(req, c.dataDir, nil)
 	if err != nil {
 		return "", nil, err
 	}
@@ -145,107 +106,53 @@ func coordSnapshotJSON(snap cluster.Snapshot) coordJobJSON {
 	return j
 }
 
-func (s *coordServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeSubmit(w, r)
-	if !ok {
-		return
-	}
-	key, body, err := s.prepare(req)
+// coordAccepted is a submission's answer: the new job's ID and wire
+// form.
+func coordAccepted(job *cluster.Job, err error) (string, any, error) {
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
+		return "", nil, err
 	}
-	job, err := s.coord.Submit(key, body)
-	if errors.Is(err, cluster.ErrShutdown) {
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "journal write failed: "+err.Error())
-		return
-	}
-	w.Header().Set("Location", "/v1/jobs/"+job.ID())
-	writeJSON(w, http.StatusAccepted, coordSnapshotJSON(job.Snapshot()))
+	return job.ID(), coordSnapshotJSON(job.Snapshot()), nil
 }
 
-// decodeSubmit parses one submitRequest body with the size cap.
-func (s *coordServer) decodeSubmit(w http.ResponseWriter, r *http.Request) (*submitRequest, bool) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+func (c coordRole) submit(body decoder) (string, any, error) {
 	var req submitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
-			return nil, false
-		}
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return nil, false
+	if err := body(&req); err != nil {
+		return "", nil, err
 	}
-	return &req, true
+	key, fwd, err := c.prepare(&req)
+	if err != nil {
+		return "", nil, err
+	}
+	return coordAccepted(c.coord.Submit(key, fwd))
 }
 
-// handlePatch forwards an ECO delta to the backend that solved the
+// submitDelta forwards an ECO delta to the backend that solved the
 // base cluster job. The body is relayed verbatim — the backend's
 // SubmitDelta does the delta validation, and its verdict maps back
 // onto the same status codes single-node clients see.
-func (s *coordServer) handlePatch(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
+func (c coordRole) submitDelta(ctx context.Context, base string, body decoder) (string, any, error) {
+	var raw []byte
+	if err := body(&raw); err != nil {
+		return "", nil, err
 	}
-	job, err := s.coord.SubmitDelta(r.Context(), r.PathValue("id"), body)
-	switch {
-	case errors.Is(err, cluster.ErrShutdown):
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	case errors.Is(err, cluster.ErrUnknownBase):
-		httpError(w, http.StatusNotFound, err.Error())
-		return
-	case errors.Is(err, cluster.ErrNotWarmStartable):
-		httpError(w, http.StatusConflict, err.Error())
-		return
-	case cluster.IsNodeError(err):
-		httpError(w, http.StatusBadGateway, err.Error())
-		return
-	case err != nil:
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	w.Header().Set("Location", "/v1/jobs/"+job.ID())
-	writeJSON(w, http.StatusAccepted, coordSnapshotJSON(job.Snapshot()))
+	return coordAccepted(c.coord.SubmitDelta(ctx, base, raw))
 }
 
-func (s *coordServer) handleGet(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.coord.Get(r.PathValue("id"))
+func (c coordRole) get(id string) (any, error) {
+	job, ok := c.coord.Get(id)
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job")
-		return
+		return nil, errUnknownJob
 	}
-	writeJSON(w, http.StatusOK, coordSnapshotJSON(job.Snapshot()))
+	return coordSnapshotJSON(job.Snapshot()), nil
 }
 
-func (s *coordServer) handleCancel(w http.ResponseWriter, r *http.Request) {
-	// Resolve the *Job once and cancel through it: a second Get after
-	// Cancel(id) could miss if MaxFinished pruning evicts the job in
-	// between.
-	job, ok := s.coord.Get(r.PathValue("id"))
+func (c coordRole) cancel(id string) (any, error) {
+	job, ok := c.coord.Cancel(id)
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job")
-		return
+		return nil, errUnknownJob
 	}
-	job.Cancel()
-	writeJSON(w, http.StatusOK, coordSnapshotJSON(job.Snapshot()))
+	return coordSnapshotJSON(job.Snapshot()), nil
 }
 
 // batchRequest is the POST /v1/batches payload.
@@ -253,56 +160,16 @@ type batchRequest struct {
 	Jobs []submitRequest `json:"jobs"`
 }
 
-// batchEvent is one NDJSON line of the streamed batch response. The
-// first line is event "accepted" (job IDs in submission order); then
-// one "job" event per completion as it happens, carrying the job's obs
-// span (wall time from acceptance to completion, attempt/resubmit
-// counters); finally one "batch" summary event.
-type batchEvent struct {
-	Event string `json:"event"`
-	Batch string `json:"batch,omitempty"`
-	// Accepted event: the job IDs.
-	Jobs []string `json:"jobs,omitempty"`
-	// Job event: the completed job's snapshot fields.
-	ID        string          `json:"id,omitempty"`
-	State     string          `json:"state,omitempty"`
-	Backend   string          `json:"backend,omitempty"`
-	Attempts  int             `json:"attempts,omitempty"`
-	Resubmits int             `json:"resubmits,omitempty"`
-	Cached    bool            `json:"cached,omitempty"`
-	Error     string          `json:"error,omitempty"`
-	Result    json.RawMessage `json:"result,omitempty"`
-	// Span is the obs stage for this job (or, on the summary event, the
-	// whole batch): name, wall time, counters.
-	Span *obs.Stage `json:"span,omitempty"`
-	// Batch summary event tallies.
-	Done   int `json:"done,omitempty"`
-	Failed int `json:"failed,omitempty"`
-}
-
-func (s *coordServer) handleBatch(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
+func (c coordRole) batch(body decoder) (*cluster.Batch, error) {
 	var req batchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return
+	if err := body(&req); err != nil {
+		return nil, err
 	}
 	if len(req.Jobs) == 0 {
-		httpError(w, http.StatusBadRequest, "batch carries no jobs")
-		return
+		return nil, errors.New("batch carries no jobs")
 	}
 	if len(req.Jobs) > maxBatchJobs {
-		httpError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d jobs exceeds the %d-job limit", len(req.Jobs), maxBatchJobs))
-		return
+		return nil, fmt.Errorf("batch of %d jobs exceeds the %d-job limit", len(req.Jobs), maxBatchJobs)
 	}
 	// Resolve every netlist before accepting anything: a batch is
 	// all-or-nothing at intake, so a typo in job 17 cannot strand 16
@@ -310,109 +177,16 @@ func (s *coordServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	keys := make([]string, len(req.Jobs))
 	bodies := make([]json.RawMessage, len(req.Jobs))
 	for i := range req.Jobs {
-		key, body, err := s.prepare(&req.Jobs[i])
+		key, fwd, err := c.prepare(&req.Jobs[i])
 		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("job %d: %v", i, err))
-			return
+			return nil, fmt.Errorf("job %d: %v", i, err)
 		}
-		keys[i], bodies[i] = key, json.RawMessage(body)
+		keys[i], bodies[i] = key, fwd
 	}
-	batch, err := s.coord.SubmitBatch(keys, bodies)
-	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-
-	// From here on the response is a chunked NDJSON stream; errors can
-	// only be conveyed in-band.
-	tr := obs.NewTrace("batch:" + batch.ID)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusAccepted)
-	flusher, _ := w.(http.Flusher)
-	rc := http.NewResponseController(w)
-	emit := func(ev batchEvent) bool {
-		// The server's WriteTimeout (when set) is absolute from request
-		// start; push the deadline out at every event so a long batch is
-		// bounded by inactivity, not total stream lifetime. Best-effort:
-		// not every ResponseWriter supports it.
-		rc.SetWriteDeadline(time.Now().Add(time.Minute))
-		if err := json.NewEncoder(w).Encode(ev); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
-	ids := make([]string, len(batch.Jobs))
-	spans := make([]obs.Recorder, len(batch.Jobs))
-	for i, j := range batch.Jobs {
-		ids[i] = j.ID()
-		spans[i] = tr.StartSpan("job:" + j.ID())
-	}
-	if !emit(batchEvent{Event: "accepted", Batch: batch.ID, Jobs: ids}) {
-		return
-	}
-
-	// Fan the per-job completions into one stream, in completion order.
-	type doneMsg struct {
-		idx  int
-		snap cluster.Snapshot
-	}
-	completions := make(chan doneMsg)
-	for i, j := range batch.Jobs {
-		go func(i int, j *cluster.Job) {
-			select {
-			case <-j.Done():
-			case <-r.Context().Done():
-				return
-			}
-			select {
-			case completions <- doneMsg{i, j.Snapshot()}:
-			case <-r.Context().Done():
-			}
-		}(i, j)
-	}
-	done, failed := 0, 0
-	for n := 0; n < len(batch.Jobs); n++ {
-		var msg doneMsg
-		select {
-		case msg = <-completions:
-		case <-r.Context().Done():
-			return // client went away; the jobs keep running
-		}
-		sp := spans[msg.idx]
-		sp.Count("attempts", int64(msg.snap.Attempts))
-		sp.Count("resubmits", int64(msg.snap.Resubmits))
-		sp.End()
-		stage := tr.Report().Children[msg.idx]
-		if msg.snap.State == cluster.StateDone {
-			done++
-		} else {
-			failed++
-		}
-		if !emit(batchEvent{
-			Event:     "job",
-			ID:        msg.snap.ID,
-			State:     msg.snap.State,
-			Backend:   msg.snap.Backend,
-			Attempts:  msg.snap.Attempts,
-			Resubmits: msg.snap.Resubmits,
-			Cached:    msg.snap.Cached,
-			Error:     msg.snap.Err,
-			Result:    msg.snap.Result,
-			Span:      &stage,
-		}) {
-			return
-		}
-	}
-	root := tr.Finish()
-	emit(batchEvent{Event: "batch", Batch: batch.ID, Done: done, Failed: failed, Span: &root})
+	return c.coord.SubmitBatch(keys, bodies)
 }
 
-func (s *coordServer) handleLive(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "mode": "coordinator"})
-}
+func (coordRole) live() any { return map[string]string{"status": "ok", "mode": "coordinator"} }
 
 // clusterHealthJSON is the coordinator's /readyz payload: per-backend
 // readiness plus the rollup. The coordinator is ready while at least
@@ -425,8 +199,8 @@ type clusterHealthJSON struct {
 	Backends []cluster.BackendStatus `json:"backends"`
 }
 
-func (s *coordServer) handleReady(w http.ResponseWriter, r *http.Request) {
-	statuses := s.coord.Status(r.Context())
+func (c coordRole) ready(ctx context.Context) (int, any) {
+	statuses := c.coord.Status(ctx)
 	ready := 0
 	for _, st := range statuses {
 		if st.Ready {
@@ -444,7 +218,7 @@ func (s *coordServer) handleReady(w http.ResponseWriter, r *http.Request) {
 		h.Status = "down"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, h)
+	return code, h
 }
 
 // clusterMetricsJSON aggregates the fleet's metrics: the coordinator's
@@ -455,11 +229,51 @@ type clusterMetricsJSON struct {
 	Backends    map[string]json.RawMessage `json:"backends"`
 }
 
-func (s *coordServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, clusterMetricsJSON{
-		Coordinator: s.coord.Metrics().Snapshot(),
-		Backends:    s.coord.GatherMetrics(r.Context()),
-	})
+func (c coordRole) metrics(ctx context.Context) any {
+	return clusterMetricsJSON{
+		Coordinator: c.coord.Metrics().Snapshot(),
+		Backends:    c.coord.GatherMetrics(ctx),
+	}
+}
+
+// newStandbyServer serves a warm standby: the liveness probes answer
+// truthfully (alive, role standby), readiness is an honest 503 saying
+// how warm the standby is, and everything else is 503 + Retry-After so
+// clients and load balancers wait out the takeover or go find the
+// leader.
+func newStandbyServer(stb *cluster.Standby) http.Handler {
+	return newHandler(standbyRole{stb}, 0)
+}
+
+// standbyRole is the warm-standby role: it serves the probes only.
+type standbyRole struct{ stb *cluster.Standby }
+
+func (standbyRole) live() any {
+	return map[string]string{"status": "ok", "mode": "coordinator", "role": "standby"}
+}
+
+// standbyHealthJSON is the standby's /readyz payload: not ready (a
+// standby takes no work), but transparent about how warm it is and
+// whose lease it is watching.
+type standbyHealthJSON struct {
+	Status       string    `json:"status"`
+	Role         string    `json:"role"`
+	LeaseTerm    int64     `json:"lease_term,omitempty"`
+	LeaseOwner   string    `json:"lease_owner,omitempty"`
+	LeaseExpires time.Time `json:"lease_expires,omitempty"`
+	WarmRecords  int       `json:"warm_records"`
+	Unfinished   int       `json:"unfinished"`
+}
+
+func (s standbyRole) ready(context.Context) (int, any) {
+	st := s.stb.Status()
+	h := standbyHealthJSON{Status: "standby", Role: "standby", WarmRecords: st.Records, Unfinished: st.Unfinished}
+	if st.HasLease {
+		h.LeaseTerm = st.Lease.Term
+		h.LeaseOwner = st.Lease.Owner
+		h.LeaseExpires = st.Lease.Deadline
+	}
+	return http.StatusServiceUnavailable, h
 }
 
 // coordOptions gathers everything runCoordinator needs, leader or
@@ -492,61 +306,6 @@ func (s *switchHandler) Set(h http.Handler) { s.h.Store(&h) }
 
 func (s *switchHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	(*s.h.Load().(*http.Handler)).ServeHTTP(w, r)
-}
-
-// standbyServer is the HTTP façade served while this process is a warm
-// standby: health endpoints answer truthfully (alive, role standby),
-// everything else is 503 + Retry-After so clients and load balancers
-// wait out the takeover or go find the leader.
-type standbyServer struct {
-	stb *cluster.Standby
-	mux *http.ServeMux
-}
-
-func newStandbyServer(stb *cluster.Standby) *standbyServer {
-	s := &standbyServer{stb: stb, mux: http.NewServeMux()}
-	s.mux.HandleFunc("GET /healthz", s.handleLive)
-	s.mux.HandleFunc("GET /livez", s.handleLive)
-	s.mux.HandleFunc("GET /readyz", s.handleReady)
-	s.mux.HandleFunc("/", s.handleNotLeader)
-	return s
-}
-
-func (s *standbyServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
-}
-
-func (s *standbyServer) handleLive(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "mode": "coordinator", "role": "standby"})
-}
-
-// standbyHealthJSON is the standby's /readyz payload: not ready (a
-// standby takes no work), but transparent about how warm it is and
-// whose lease it is watching.
-type standbyHealthJSON struct {
-	Status       string    `json:"status"`
-	Role         string    `json:"role"`
-	LeaseTerm    int64     `json:"lease_term,omitempty"`
-	LeaseOwner   string    `json:"lease_owner,omitempty"`
-	LeaseExpires time.Time `json:"lease_expires,omitempty"`
-	WarmRecords  int       `json:"warm_records"`
-	Unfinished   int       `json:"unfinished"`
-}
-
-func (s *standbyServer) handleReady(w http.ResponseWriter, _ *http.Request) {
-	st := s.stb.Status()
-	h := standbyHealthJSON{Status: "standby", Role: "standby", WarmRecords: st.Records, Unfinished: st.Unfinished}
-	if st.HasLease {
-		h.LeaseTerm = st.Lease.Term
-		h.LeaseOwner = st.Lease.Owner
-		h.LeaseExpires = st.Lease.Deadline
-	}
-	writeJSON(w, http.StatusServiceUnavailable, h)
-}
-
-func (s *standbyServer) handleNotLeader(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Retry-After", "1")
-	httpError(w, http.StatusServiceUnavailable, "standby coordinator: not the leader yet; retry after takeover")
 }
 
 // runCoordinator boots cluster mode. A leader takes the journal's

@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"igpart/internal/cluster"
 	"igpart/internal/fault"
 	"igpart/internal/service"
 )
@@ -129,5 +131,41 @@ func TestIOReadErrInjectionIs503(t *testing.T) {
 	}
 	if code, _ := postJob(t, ts, body); code != http.StatusAccepted {
 		t.Fatalf("retry after transient error = %d, want 202", code)
+	}
+}
+
+// TestBatchJournalFailureIs500 pins the batch intake contract: a journal
+// write failing part way through a batch refuses the whole batch with
+// the single-job journal-failure status, and no backend sees a job.
+func TestBatchJournalFailureIs500(t *testing.T) {
+	b := newClusterBackend(t, "b0")
+	j, _, err := cluster.OpenJournal(filepath.Join(t.TempDir(), "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := fault.New(1, nil, fault.Rule{Point: fault.JournalWriteErr, Every: 3, Limit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.SetFault(inj)
+	coord, err := cluster.New(cluster.Config{
+		Backends:      []cluster.Backend{{Name: b.name, URL: b.ts.URL}},
+		ProbeInterval: -1,
+		Journal:       j,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newCoordServer(coord, "", 0))
+	t.Cleanup(func() {
+		ts.Close()
+		_ = coord.Shutdown(t.Context())
+	})
+
+	body, _ := batchBody(t, "bm1", 0.2, 4)
+	got := wireDo(t, ts.URL, http.MethodPost, "/v1/batches", body)
+	wireWant{status: http.StatusInternalServerError, keys: []string{"error"}}.check(t, got)
+	if n := b.submitted(); n != 0 {
+		t.Fatalf("backend received %d job(s) of a refused batch", n)
 	}
 }

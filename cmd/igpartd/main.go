@@ -79,6 +79,14 @@ func main() {
 	)
 	flag.Parse()
 
+	reg := new(igpart.MetricsRegistry)
+	inj, err := igpart.ParseFaultSpec(*inject, *injectSeed, reg)
+	if err != nil {
+		log.Fatalf("igpartd: -inject: %v", err)
+	}
+	if inj != nil {
+		log.Printf("igpartd: FAULT INJECTION ARMED: %s", inj)
+	}
 	if *coordinator {
 		// http.Server's WriteTimeout is absolute from request start, which
 		// would kill a chunked /v1/batches stream mid-flight; unless the
@@ -97,14 +105,6 @@ func main() {
 		}
 		if *standby && *journalPath == "" {
 			log.Fatalf("igpartd: -standby requires -journal (the leadership lease lives there)")
-		}
-		reg := new(igpart.MetricsRegistry)
-		inj, err := igpart.ParseFaultSpec(*inject, *injectSeed, reg)
-		if err != nil {
-			log.Fatalf("igpartd: -inject: %v", err)
-		}
-		if inj != nil {
-			log.Printf("igpartd: FAULT INJECTION ARMED: %s", inj)
 		}
 		var backends []cluster.Backend
 		if *backendsFlag != "" {
@@ -143,15 +143,6 @@ func main() {
 	}
 	if *backendsFlag != "" || *backendsFile != "" || *journalPath != "" || *standby {
 		log.Fatalf("igpartd: -backends/-backends-file/-journal/-standby require -coordinator")
-	}
-
-	reg := new(igpart.MetricsRegistry)
-	inj, err := igpart.ParseFaultSpec(*inject, *injectSeed, reg)
-	if err != nil {
-		log.Fatalf("igpartd: -inject: %v", err)
-	}
-	if inj != nil {
-		log.Printf("igpartd: FAULT INJECTION ARMED: %s", inj)
 	}
 	if err := run(*addr, *dataDir, *maxBody, *shutdownGrace, *readTimeout, *writeTimeout, service.Config{
 		Workers:        *workers,

@@ -1,28 +1,9 @@
-// igpartd's HTTP layer: a thin JSON façade over internal/service.
-//
-// Endpoints:
-//
-//	POST   /v1/jobs      submit a partitioning job (202 + job id)
-//	GET    /v1/jobs/{id} poll status; terminal jobs carry the result
-//	PATCH  /v1/jobs/{id} submit an ECO delta against a finished job
-//	                     (202 + new job id, warm-started from the cache)
-//	DELETE /v1/jobs/{id} request cooperative cancellation
-//	GET    /healthz      liveness probe (alias of /livez)
-//	GET    /livez        liveness probe: 200 while the process serves
-//	GET    /readyz       readiness probe: 503 while degraded (queue
-//	                     backlog or consecutive solve panics) or draining
-//	GET    /metrics      JSON dump of the obs metrics registry
-//
-// Submission is non-blocking end to end: a full queue answers 429
-// immediately (the engine's explicit-rejection backpressure), so the
-// daemon never accumulates hidden in-flight work beyond its bounds.
 package main
 
 import (
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
-	"log"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -45,32 +26,21 @@ type serverConfig struct {
 	inj *fault.Injector
 }
 
-// server routes HTTP requests onto a service.Engine.
-type server struct {
+// newServer serves the single-node API over a service.Engine.
+// Submission is non-blocking end to end: a full queue answers 429
+// immediately (the engine's explicit-rejection backpressure), so the
+// daemon never accumulates hidden in-flight work beyond its bounds.
+func newServer(engine *service.Engine, cfg serverConfig) http.Handler {
+	return newHandler(engineRole{engine, cfg}, cfg.maxBody)
+}
+
+// engineRole is the single-node role: jobs solve in-process.
+type engineRole struct {
 	engine *service.Engine
 	cfg    serverConfig
-	mux    *http.ServeMux
 }
 
-func newServer(engine *service.Engine, cfg serverConfig) *server {
-	if cfg.maxBody <= 0 {
-		cfg.maxBody = 32 << 20
-	}
-	s := &server{engine: engine, cfg: cfg, mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
-	s.mux.HandleFunc("PATCH /v1/jobs/{id}", s.handlePatch)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	s.mux.HandleFunc("GET /healthz", s.handleLive)
-	s.mux.HandleFunc("GET /livez", s.handleLive)
-	s.mux.HandleFunc("GET /readyz", s.handleReady)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	return s
-}
-
-func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
-}
+var _ jobRole = engineRole{}
 
 // submitRequest is the POST /v1/jobs payload. Exactly one netlist
 // source must be set: an inline Bookshelf pair or a server-side path
@@ -214,19 +184,9 @@ func snapshotJSON(snap service.Snapshot) jobJSON {
 	return j
 }
 
-// errTransientIO marks a netlist read that failed for reasons the
-// caller can retry (as opposed to a malformed request); handleSubmit
-// maps it to 503.
-var errTransientIO = errors.New("transient read error loading netlist")
-
-// loadNetlist resolves the submission's netlist source.
-func (s *server) loadNetlist(req *submitRequest) (*igpart.Netlist, error) {
-	return loadNetlist(req, s.cfg.dataDir, s.cfg.inj)
-}
-
-// loadNetlist is shared between the single-node server and the cluster
-// coordinator (which inlines the netlist before forwarding, so the
-// backends need no shared filesystem).
+// loadNetlist resolves a submission's netlist source, for the engine
+// and for the coordinator (which inlines the netlist before forwarding,
+// so the backends need no shared filesystem).
 func loadNetlist(req *submitRequest, dataDir string, inj *fault.Injector) (*igpart.Netlist, error) {
 	if inj.Active(fault.IOReadErr) {
 		return nil, errTransientIO
@@ -253,32 +213,16 @@ func loadNetlist(req *submitRequest, dataDir string, inj *fault.Injector) (*igpa
 	}
 }
 
-func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.maxBody)
+func (e engineRole) submit(body decoder) (string, any, error) {
 	var req submitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return
+	if err := body(&req); err != nil {
+		return "", nil, err
 	}
-	h, err := s.loadNetlist(&req)
-	if errors.Is(err, errTransientIO) {
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
+	h, err := loadNetlist(&req, e.cfg.dataDir, e.cfg.inj)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
+		return "", nil, err
 	}
-	job, err := s.engine.Submit(service.Request{
+	return accepted(e.engine.Submit(service.Request{
 		Netlist: h,
 		Options: service.Options{
 			Algo:            req.Algo,
@@ -296,138 +240,61 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			Accept:          req.Accept,
 			Timeout:         time.Duration(req.TimeoutMS) * time.Millisecond,
 		},
-	})
-	switch {
-	case errors.Is(err, service.ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, err.Error())
-		return
-	case errors.Is(err, service.ErrShutdown):
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	case errors.Is(err, service.ErrBadRequest):
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	case err != nil:
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	w.Header().Set("Location", "/v1/jobs/"+job.ID())
-	writeJSON(w, http.StatusAccepted, snapshotJSON(job.Snapshot()))
+	}))
 }
 
-// handlePatch submits an ECO delta against a finished job. The engine
-// warm-starts from the base result's cached net ordering; the response
-// is a brand-new job (202) polled like any other.
-func (s *server) handlePatch(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.maxBody)
+// submitDelta submits an ECO delta against a finished job. The engine
+// warm-starts from the base result's cached net ordering; the answer is
+// a brand-new job, polled like any other.
+func (e engineRole) submitDelta(_ context.Context, base string, body decoder) (string, any, error) {
 	var req deltaRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return
+	if err := body(&req); err != nil {
+		return "", nil, err
 	}
 	if req.Delta == nil {
-		httpError(w, http.StatusBadRequest, "request carries no delta")
-		return
+		return "", nil, errors.New("request carries no delta")
 	}
-	job, err := s.engine.SubmitDelta(r.PathValue("id"), *req.Delta,
-		time.Duration(req.TimeoutMS)*time.Millisecond)
-	switch {
-	case errors.Is(err, service.ErrUnknownBase):
-		httpError(w, http.StatusNotFound, err.Error())
-		return
-	case errors.Is(err, service.ErrNotWarmStartable):
-		httpError(w, http.StatusConflict, err.Error())
-		return
-	case errors.Is(err, service.ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, err.Error())
-		return
-	case errors.Is(err, service.ErrShutdown):
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	case err != nil:
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	w.Header().Set("Location", "/v1/jobs/"+job.ID())
-	writeJSON(w, http.StatusAccepted, snapshotJSON(job.Snapshot()))
+	return accepted(e.engine.SubmitDelta(base, *req.Delta, time.Duration(req.TimeoutMS)*time.Millisecond))
 }
 
-func (s *server) handleGet(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.engine.Get(r.PathValue("id"))
+// accepted is a submission's answer: the new job's ID and wire form.
+func accepted(job *service.Job, err error) (string, any, error) {
+	if err != nil {
+		return "", nil, err
+	}
+	return job.ID(), snapshotJSON(job.Snapshot()), nil
+}
+
+func (e engineRole) get(id string) (any, error) {
+	job, ok := e.engine.Get(id)
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job")
-		return
+		return nil, errUnknownJob
 	}
-	writeJSON(w, http.StatusOK, snapshotJSON(job.Snapshot()))
+	return snapshotJSON(job.Snapshot()), nil
 }
 
-func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !s.engine.Cancel(id) {
-		httpError(w, http.StatusNotFound, "unknown job")
-		return
+func (e engineRole) cancel(id string) (any, error) {
+	job, ok := e.engine.Cancel(id)
+	if !ok {
+		return nil, errUnknownJob
 	}
-	job, _ := s.engine.Get(id)
-	writeJSON(w, http.StatusOK, snapshotJSON(job.Snapshot()))
+	return snapshotJSON(job.Snapshot()), nil
 }
 
-// handleLive is the liveness probe: the process is up and serving, say
-// 200 — even when degraded, because restarting a degraded daemon loses
-// its queue for no gain. (/healthz is an alias so pre-split monitoring
-// keeps working.)
-func (s *server) handleLive(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
+// live is the liveness probe: the process is up and serving, say 200 —
+// even when degraded, because restarting a degraded daemon loses its
+// queue for no gain.
+func (engineRole) live() any { return map[string]string{"status": "ok"} }
 
-// healthJSON is the /readyz payload.
-type healthJSON struct {
-	Status      string   `json:"status"`
-	Reasons     []string `json:"reasons,omitempty"`
-	QueueDepth  int      `json:"queue_depth"`
-	QueueCap    int      `json:"queue_cap"`
-	PanicStreak int      `json:"panic_streak,omitempty"`
-}
-
-// handleReady is the readiness probe: 503 tells the load balancer to
-// route new work elsewhere while the engine is backlogged, repeatedly
+// ready is the readiness probe: 503 tells the load balancer to route
+// new work elsewhere while the engine is backlogged, repeatedly
 // panicking, or draining — conditions that self-heal without a restart.
-func (s *server) handleReady(w http.ResponseWriter, _ *http.Request) {
-	hl := s.engine.Health()
-	status := http.StatusOK
+func (e engineRole) ready(context.Context) (int, any) {
+	hl := e.engine.Health()
 	if !hl.Ready {
-		status = http.StatusServiceUnavailable
+		return http.StatusServiceUnavailable, hl
 	}
-	writeJSON(w, status, healthJSON{
-		Status:      hl.Status,
-		Reasons:     hl.Reasons,
-		QueueDepth:  hl.QueueDepth,
-		QueueCap:    hl.QueueCap,
-		PanicStreak: hl.PanicStreak,
-	})
+	return http.StatusOK, hl
 }
 
-func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.engine.Metrics().Snapshot())
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("igpartd: encode response: %v", err)
-	}
-}
-
-func httpError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
-}
+func (e engineRole) metrics(context.Context) any { return e.engine.Metrics().Snapshot() }

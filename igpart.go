@@ -40,7 +40,7 @@ import (
 	"time"
 
 	"igpart/internal/anneal"
-	"igpart/internal/cluster"
+	"igpart/internal/condense"
 	"igpart/internal/core"
 	"igpart/internal/eigen"
 	"igpart/internal/fault"
@@ -593,7 +593,7 @@ func Refined(h *Netlist) (Result, error) {
 // Condensed runs the cluster-condensation pipeline: coarsen by heavy
 // matching, IG-Match on the coarse circuit, project, FM-polish.
 func Condensed(h *Netlist) (Result, error) {
-	res, err := cluster.Partition(h, cluster.Options{})
+	res, err := condense.Partition(h, condense.Options{})
 	if err != nil {
 		return Result{}, err
 	}

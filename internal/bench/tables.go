@@ -6,7 +6,7 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"igpart/internal/cluster"
+	"igpart/internal/condense"
 	"igpart/internal/core"
 	"igpart/internal/eigen"
 	"igpart/internal/fm"
@@ -641,7 +641,7 @@ func (s Suite) ClusterTable() ([]ClusterRow, error) {
 		}
 		dt := time.Since(t0)
 		t0 = time.Now()
-		cond, err := cluster.Partition(h, cluster.Options{})
+		cond, err := condense.Partition(h, condense.Options{})
 		if err != nil {
 			return nil, err
 		}

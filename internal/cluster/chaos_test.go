@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -146,5 +147,54 @@ func TestProbeTimeoutAndFailureCounter(t *testing.T) {
 			t.Fatal("probe failures never counted")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// A journal write failing part way through a batch refuses the whole
+// batch: the journaled prefix is retracted (completion records as
+// cancelled), no job is dispatched, and a successor's replay finds
+// nothing to run.
+func TestSubmitBatchAtomicOnJournalFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	j, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The third append fails: jobs 1 and 2 are journaled, job 3 is not.
+	inj, err := fault.New(1, nil, fault.Rule{Point: fault.JournalWriteErr, Every: 3, Limit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.SetFault(inj)
+	reg := new(obs.Registry)
+	c, b0, b1 := testCluster(t, Config{Journal: j, Metrics: reg})
+	keys := []string{"k1", "k2", "k3", "k4"}
+	bodies := []json.RawMessage{seedBody(1), seedBody(2), seedBody(3), seedBody(4)}
+	batch, err := c.SubmitBatch(keys, bodies)
+	if !errors.Is(err, ErrJournal) || batch != nil {
+		t.Fatalf("SubmitBatch = %v, %v; want nil, ErrJournal", batch, err)
+	}
+	for _, id := range []string{"cjob-2", "cjob-3", "cjob-4", "cjob-5"} {
+		if _, ok := c.Get(id); ok {
+			t.Fatalf("refused batch registered job %s", id)
+		}
+	}
+	if got := reg.Counter("cluster.jobs_submitted").Value(); got != 0 {
+		t.Fatalf("jobs_submitted = %d, want 0", got)
+	}
+	if err := c.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(b0.seeds()) + len(b1.seeds()); n != 0 {
+		t.Fatalf("backends received %d job(s) of a refused batch", n)
+	}
+
+	j2, recs, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if un := Unfinished(recs); len(un) != 0 {
+		t.Fatalf("replay would run %+v from a refused batch", un)
 	}
 }

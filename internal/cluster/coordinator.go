@@ -1,3 +1,9 @@
+// Package cluster is igpartd's distributed tier: a coordinator that
+// routes partitioning jobs across a fleet of igpartd backends by
+// consistent hashing on the netlist's content address, fails work over
+// when a backend dies, and journals accepted jobs durably so its own
+// restart loses nothing; a warm standby tailing the journal under a
+// leadership lease keeps the control plane itself available.
 package cluster
 
 import (
@@ -6,12 +12,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"igpart/internal/fault"
+	"igpart/internal/jobreg"
 	"igpart/internal/obs"
 )
 
@@ -44,6 +49,9 @@ var (
 	// ErrNotWarmStartable rejects a delta whose base job cannot seed a
 	// warm start on its backend: not done, or the backend lost it.
 	ErrNotWarmStartable = errors.New("cluster: base job not warm-startable")
+	// ErrJournal wraps a journal write that failed at intake: nothing
+	// of the submission was accepted.
+	ErrJournal = errors.New("journal write failed")
 	// errAborted is the internal cancel cause of a crash-style abort
 	// (drain deadline expired): runners exit without journaling a
 	// completion, leaving their jobs for the next boot's replay.
@@ -82,9 +90,6 @@ type Config struct {
 	// by the shared fault.BackoffDelay machinery.
 	RetryBaseDelay time.Duration
 	RetryMaxDelay  time.Duration
-	// MaxFinished bounds how many terminal jobs stay queryable
-	// (default 4096).
-	MaxFinished int
 	// MinDwell is the flapping guard for dynamic membership: a backend
 	// re-added within MinDwell of its removal is held out of the ring
 	// until the dwell passes (default 5s; negative disables).
@@ -147,9 +152,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryMaxDelay <= 0 {
 		c.RetryMaxDelay = 2 * time.Second
-	}
-	if c.MaxFinished <= 0 {
-		c.MaxFinished = 4096
 	}
 	if c.Metrics == nil {
 		c.Metrics = new(obs.Registry)
@@ -218,10 +220,6 @@ func (j *Job) ID() string { return j.id }
 // across a crash-style abort — such jobs complete on the next boot.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Cancel requests cancellation of the job: its runner stops at the
-// next step and best-effort cancels the backend copy.
-func (j *Job) Cancel() { j.cancel(ErrCancelled) }
-
 // Snapshot returns the job's current externally visible state.
 func (j *Job) Snapshot() Snapshot {
 	j.mu.Lock()
@@ -247,6 +245,10 @@ type Batch struct {
 	ID   string
 	Jobs []*Job
 }
+
+// keepFinished is how many terminal jobs stay queryable; the oldest are
+// forgotten first.
+const keepFinished = 4096
 
 // Coordinator routes jobs across the backend fleet: consistent-hash
 // placement, health-aware failover with bounded backed-off
@@ -279,11 +281,10 @@ type Coordinator struct {
 	stopOnce  sync.Once
 	sem       chan struct{} // MaxInflight dispatch slots
 
-	mu       sync.Mutex
-	closed   bool
-	nextID   int64
-	jobs     map[string]*Job
-	finished []string
+	jobs *jobreg.Registry[*Job]
+
+	mu     sync.Mutex
+	closed bool
 }
 
 // New builds a coordinator over the configured backends and starts its
@@ -313,7 +314,7 @@ func New(cfg Config) (*Coordinator, error) {
 		probeStop: make(chan struct{}),
 		leaseStop: make(chan struct{}),
 		sem:       make(chan struct{}, cfg.MaxInflight),
-		jobs:      make(map[string]*Job),
+		jobs:      jobreg.New[*Job](keepFinished),
 	}
 	for _, b := range cfg.Backends {
 		c.clients[b.Name] = newClient(b, cfg.HTTPClient, cfg.RequestTimeout, cfg.ProbeTimeout)
@@ -463,60 +464,70 @@ func (c *Coordinator) probeAll() {
 // netlist's CanonicalBytes — and body the backend-ready request JSON
 // (netlist inlined, so the backend needs no shared filesystem).
 func (c *Coordinator) Submit(key string, body json.RawMessage) (*Job, error) {
-	return c.submit("", key, body)
+	jobs, err := c.accept("", []string{key}, []json.RawMessage{body})
+	if err != nil {
+		return nil, err
+	}
+	return jobs[0], nil
 }
 
-// SubmitBatch accepts many jobs as one batch. Every job is journaled
-// before the call returns; per-job completion is observed via
-// (*Job).Done.
+// SubmitBatch accepts many jobs as one batch, all or nothing: every job
+// is journaled before any is dispatched. Per-job completion is observed
+// via (*Job).Done.
 func (c *Coordinator) SubmitBatch(keys []string, bodies []json.RawMessage) (*Batch, error) {
 	if len(keys) != len(bodies) {
 		return nil, fmt.Errorf("cluster: %d keys for %d bodies", len(keys), len(bodies))
 	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrShutdown
-	}
-	c.nextID++
-	batch := &Batch{ID: fmt.Sprintf("batch-%d", c.nextID)}
-	c.mu.Unlock()
-	for i := range keys {
-		j, err := c.submit(batch.ID, keys[i], bodies[i])
-		if err != nil {
-			// Already-accepted jobs keep running; the caller learns which
-			// prefix was accepted from the partial batch.
-			return batch, err
-		}
-		batch.Jobs = append(batch.Jobs, j)
+	id := c.jobs.NextID("batch")
+	jobs, err := c.accept(id, keys, bodies)
+	if err != nil {
+		return nil, err
 	}
 	c.reg.Counter("cluster.batches").Add(1)
-	return batch, nil
+	return &Batch{ID: id, Jobs: jobs}, nil
 }
 
-func (c *Coordinator) submit(batch, key string, body json.RawMessage) (*Job, error) {
+// accept journals every job, then dispatches them all. An unjournaled
+// acceptance must not be acknowledged — accepted == durable is the
+// point of the journal — so a write failing part way retracts the
+// journaled prefix (completion records as cancelled, so no replay runs
+// them), dispatches nothing, and returns ErrJournal.
+func (c *Coordinator) accept(batch string, keys []string, bodies []json.RawMessage) ([]*Job, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, ErrShutdown
 	}
-	c.nextID++
-	id := fmt.Sprintf("cjob-%d", c.nextID)
+	ids := make([]string, len(keys))
+	for i := range ids {
+		ids[i] = c.jobs.NextID("cjob")
+	}
 	c.mu.Unlock()
-	if err := c.journal.Accept(id, batch, key, body); err != nil {
-		// An unjournaled acceptance must not be acknowledged: the whole
-		// point of the journal is that accepted == durable.
-		return nil, err
+	for i, id := range ids {
+		if err := c.journal.Accept(id, batch, keys[i], bodies[i]); err != nil {
+			for _, prev := range ids[:i] {
+				if c.journal.Complete(prev, StateCancelled) != nil {
+					// Best effort: an unretracted accept replays on the next
+					// boot, exactly like a crash right after it.
+					c.reg.Counter("cluster.journal.write_errors").Add(1)
+				}
+			}
+			return nil, fmt.Errorf("%w: %w", ErrJournal, err)
+		}
 	}
 	if c.cfg.Fault.Active(fault.CoordCrash) {
 		// Die between journaling and dispatching — the worst-timed crash:
-		// the record is durable but no backend has seen the job. The
-		// successor's replay must resurface it under this exact ID.
+		// the records are durable but no backend has seen the jobs. The
+		// successor's replay must resurface them under these exact IDs.
 		c.reg.Counter("cluster.coord.crashes").Add(1)
 		c.depose()
 		return nil, ErrShutdown
 	}
-	return c.start(id, batch, key, body), nil
+	jobs := make([]*Job, len(ids))
+	for i, id := range ids {
+		jobs[i] = c.start(id, batch, keys[i], bodies[i])
+	}
+	return jobs, nil
 }
 
 // SubmitDelta routes an ECO delta to the backend holding the base
@@ -531,12 +542,12 @@ func (c *Coordinator) submit(batch, key string, body json.RawMessage) (*Job, err
 // not re-pin them.
 func (c *Coordinator) SubmitDelta(ctx context.Context, baseID string, body json.RawMessage) (*Job, error) {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
 		return nil, ErrShutdown
 	}
-	base, ok := c.jobs[baseID]
-	c.mu.Unlock()
+	base, ok := c.jobs.Get(baseID)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownBase, baseID)
 	}
@@ -567,8 +578,7 @@ func (c *Coordinator) SubmitDelta(ctx context.Context, baseID string, body json.
 		// backend still runs it, we just cannot track it.
 		return nil, ErrShutdown
 	}
-	c.nextID++
-	id := fmt.Sprintf("cjob-%d", c.nextID)
+	id := c.jobs.NextID("cjob")
 	c.mu.Unlock()
 
 	jctx, cancel := context.WithCancelCause(c.ctx)
@@ -586,32 +596,35 @@ func (c *Coordinator) SubmitDelta(ctx context.Context, baseID string, body json.
 	j.backend = snap.Backend
 	j.backendJob = bid
 	j.attempts = 1
-	c.mu.Lock()
-	c.jobs[id] = j
-	c.pruneFinishedLocked()
-	c.mu.Unlock()
+	c.jobs.Add(id, j)
 	c.reg.Counter("cluster.deltas_submitted").Add(1)
-	c.wg.Add(1)
-	go c.runPinned(j, cl)
+	c.dispatch(j, func() { c.runPinned(j, cl) })
 	return j, nil
+}
+
+// dispatch runs fn for job j on its own goroutine, holding one of the
+// MaxInflight dispatch slots; a job whose context dies while it waits
+// for a slot is finalized instead.
+func (c *Coordinator) dispatch(j *Job, fn func()) {
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		select {
+		case c.sem <- struct{}{}:
+		case <-j.ctx.Done():
+			c.finishAborted(j)
+			return
+		}
+		c.reg.Gauge("cluster.jobs_inflight").Set(float64(len(c.sem)))
+		fn()
+		<-c.sem
+		c.reg.Gauge("cluster.jobs_inflight").Set(float64(len(c.sem)))
+	}()
 }
 
 // runPinned drives a delta job already accepted by its pinned backend:
 // poll to terminal, no failover.
 func (c *Coordinator) runPinned(j *Job, cl *client) {
-	defer c.wg.Done()
-	select {
-	case c.sem <- struct{}{}:
-	case <-j.ctx.Done():
-		c.finishAborted(j)
-		return
-	}
-	defer func() {
-		<-c.sem
-		c.reg.Gauge("cluster.jobs_inflight").Set(float64(len(c.sem)))
-	}()
-	c.reg.Gauge("cluster.jobs_inflight").Set(float64(len(c.sem)))
-
 	bj, err := c.pollUntilTerminal(j, cl, j.backendJob)
 	switch {
 	case err != nil && j.ctx.Err() != nil:
@@ -639,13 +652,9 @@ func (c *Coordinator) start(id, batch, key string, body json.RawMessage) *Job {
 		state:     StateQueued,
 		submitted: time.Now(),
 	}
-	c.mu.Lock()
-	c.jobs[id] = j
-	c.pruneFinishedLocked()
-	c.mu.Unlock()
+	c.jobs.Add(id, j)
 	c.reg.Counter("cluster.jobs_submitted").Add(1)
-	c.wg.Add(1)
-	go c.run(j)
+	c.dispatch(j, func() { c.run(j) })
 	return j
 }
 
@@ -655,21 +664,7 @@ func (c *Coordinator) start(id, batch, key string, body json.RawMessage) *Job {
 // Completed jobs are NOT re-run — their completion records prove the
 // work was delivered. Returns the number of jobs resubmitted.
 func (c *Coordinator) Recover(recs []Record) int {
-	maxID := int64(0)
-	for _, r := range recs {
-		for _, id := range []string{r.Job, r.Batch} {
-			if i := strings.LastIndexByte(id, '-'); i >= 0 {
-				if n, err := strconv.ParseInt(id[i+1:], 10, 64); err == nil && n > maxID {
-					maxID = n
-				}
-			}
-		}
-	}
-	c.mu.Lock()
-	if c.nextID < maxID {
-		c.nextID = maxID
-	}
-	c.mu.Unlock()
+	c.jobs.Advance(maxSeq(recs))
 	unfinished := Unfinished(recs)
 	for _, r := range unfinished {
 		c.start(r.Job, r.Batch, r.Key, r.Body)
@@ -679,23 +674,18 @@ func (c *Coordinator) Recover(recs []Record) int {
 }
 
 // Get returns the job with the given ID.
-func (c *Coordinator) Get(id string) (*Job, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	return j, ok
-}
+func (c *Coordinator) Get(id string) (*Job, bool) { return c.jobs.Get(id) }
 
 // Cancel requests cancellation of a job: the runner stops at its next
-// step and best-effort cancels the backend copy. Reports whether the
-// ID was known.
-func (c *Coordinator) Cancel(id string) bool {
+// step and best-effort cancels the backend copy. It returns the job it
+// resolved, so callers never look the ID up a second time (finished
+// jobs may be pruned in between), and reports whether the ID was known.
+func (c *Coordinator) Cancel(id string) (*Job, bool) {
 	j, ok := c.Get(id)
-	if !ok {
-		return false
+	if ok {
+		j.cancel(ErrCancelled)
 	}
-	j.Cancel()
-	return true
+	return j, ok
 }
 
 // run drives one job to a terminal state: submit to the ring owner,
@@ -703,19 +693,6 @@ func (c *Coordinator) Cancel(id string) bool {
 // in ring order with capped, jittered backoff — at most cfg.Attempts
 // submissions in total.
 func (c *Coordinator) run(j *Job) {
-	defer c.wg.Done()
-	select {
-	case c.sem <- struct{}{}:
-	case <-j.ctx.Done():
-		c.finishAborted(j)
-		return
-	}
-	defer func() {
-		<-c.sem
-		c.reg.Gauge("cluster.jobs_inflight").Set(float64(len(c.sem)))
-	}()
-	c.reg.Gauge("cluster.jobs_inflight").Set(float64(len(c.sem)))
-
 	order := c.Ring().Route(j.key)
 	// FNV-1a over the job ID: per-job deterministic jitter streams, the
 	// same scheme the backend engine uses for its solve retries.
@@ -895,7 +872,7 @@ func (c *Coordinator) finish(j *Job, state string, bj *backendJob, err error) {
 	default:
 		c.reg.Counter("cluster.jobs_failed").Add(1)
 	}
-	c.recordFinished(j)
+	c.jobs.Finish(j.id)
 	close(j.done)
 }
 
@@ -918,23 +895,6 @@ func (c *Coordinator) finishAborted(j *Job) {
 		return
 	}
 	c.finish(j, StateCancelled, nil, context.Cause(j.ctx))
-}
-
-// recordFinished appends to the terminal list for pruning.
-func (c *Coordinator) recordFinished(j *Job) {
-	c.mu.Lock()
-	c.finished = append(c.finished, j.id)
-	c.pruneFinishedLocked()
-	c.mu.Unlock()
-}
-
-// pruneFinishedLocked forgets the oldest terminal jobs beyond
-// MaxFinished.
-func (c *Coordinator) pruneFinishedLocked() {
-	for len(c.finished) > c.cfg.MaxFinished {
-		delete(c.jobs, c.finished[0])
-		c.finished = c.finished[1:]
-	}
 }
 
 // BackendStatus is one backend's aggregated health view.

@@ -340,7 +340,7 @@ func TestCoordinatorCancelPropagates(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if !c.Cancel(j.ID()) {
+	if _, ok := c.Cancel(j.ID()); !ok {
 		t.Fatal("cancel: unknown job")
 	}
 	snap := waitDone(t, j)

@@ -187,16 +187,7 @@ func scanJournal(r io.Reader) ([]Record, int64, error) {
 // accepts in order. Returns the input-sized slice when compaction
 // would not shrink the file.
 func compactRecords(recs []Record) []Record {
-	maxID := int64(0)
-	for _, r := range recs {
-		for _, id := range []string{r.Job, r.Batch} {
-			if i := strings.LastIndexByte(id, '-'); i >= 0 {
-				if n, err := strconv.ParseInt(id[i+1:], 10, 64); err == nil && n > maxID {
-					maxID = n
-				}
-			}
-		}
-	}
+	maxID := maxSeq(recs)
 	unfinished := Unfinished(recs)
 	kept := make([]Record, 0, len(unfinished)+2)
 	if maxID > 0 {
@@ -210,6 +201,22 @@ func compactRecords(recs []Record) []Record {
 		return recs
 	}
 	return kept
+}
+
+// maxSeq is the highest sequence number among the records' job and
+// batch IDs (the N of "cjob-N" and "batch-N").
+func maxSeq(recs []Record) int64 {
+	maxID := int64(0)
+	for _, r := range recs {
+		for _, id := range []string{r.Job, r.Batch} {
+			if i := strings.LastIndexByte(id, '-'); i >= 0 {
+				if n, err := strconv.ParseInt(id[i+1:], 10, 64); err == nil && n > maxID {
+					maxID = n
+				}
+			}
+		}
+	}
+	return maxID
 }
 
 // rewriteJournal atomically replaces the journal at path with the

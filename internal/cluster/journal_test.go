@@ -250,9 +250,7 @@ func TestJournalCompaction(t *testing.T) {
 	}
 	defer c.Shutdown(context.Background())
 	c.Recover(recs)
-	c.mu.Lock()
-	next := c.nextID
-	c.mu.Unlock()
+	next := c.jobs.Seq()
 	if next < 5 {
 		t.Fatalf("recovered nextID = %d, want >= 5 (mark must pin the high-water ID)", next)
 	}
@@ -441,9 +439,7 @@ func TestJournalCompactedLeaseRecover(t *testing.T) {
 	if _, ok := c.Get("cjob-7"); !ok {
 		t.Fatal("recovered job not tracked under its original ID")
 	}
-	c.mu.Lock()
-	next := c.nextID
-	c.mu.Unlock()
+	next := c.jobs.Seq()
 	if next < 8 {
 		t.Fatalf("recovered nextID = %d, want >= 8 (mark must outlive the lease)", next)
 	}

@@ -37,7 +37,7 @@ import (
 	"errors"
 	"fmt"
 
-	"igpart/internal/cluster"
+	"igpart/internal/condense"
 	"igpart/internal/core"
 	"igpart/internal/fm"
 	"igpart/internal/hypergraph"
@@ -302,16 +302,16 @@ func Partition(h *hypergraph.Hypergraph, opts Options) (Result, error) {
 // still-free pairs first.
 func matchNets(h *hypergraph.Hypergraph, ig netmodel.IGOptions) ([]int, int) {
 	g := netmodel.IntersectionGraph(h, ig)
-	var pairs []cluster.WeightedPair
+	var pairs []condense.WeightedPair
 	for i := 0; i < g.N(); i++ {
 		cols, vals := g.Row(i)
 		for j, c := range cols {
 			if c > i {
-				pairs = append(pairs, cluster.WeightedPair{A: i, B: c, W: vals[j]})
+				pairs = append(pairs, condense.WeightedPair{A: i, B: c, W: vals[j]})
 			}
 		}
 	}
-	return cluster.MatchByWeight(h.NumNets(), pairs)
+	return condense.MatchByWeight(h.NumNets(), pairs)
 }
 
 // netSides derives a net bipartition from a module partition: a net joins

@@ -47,18 +47,18 @@ func backoffDelay(attempt int, base, max time.Duration, seed uint64) time.Durati
 // readiness (it is sensible to send it more work right now).
 type Health struct {
 	// Live is true as long as the engine has not been shut down.
-	Live bool
+	Live bool `json:"-"`
 	// Ready is true when the engine accepts work and is not degraded.
-	Ready bool
+	Ready bool `json:"-"`
 	// Status is "ok", "degraded", or "shutdown".
-	Status string
+	Status string `json:"status"`
 	// Reasons lists what degraded the engine, empty when Status == "ok".
-	Reasons []string
+	Reasons []string `json:"reasons,omitempty"`
 	// QueueDepth and QueueCap describe current backlog.
-	QueueDepth int
-	QueueCap   int
+	QueueDepth int `json:"queue_depth"`
+	QueueCap   int `json:"queue_cap"`
 	// PanicStreak is the current run of consecutive solves that panicked.
-	PanicStreak int
+	PanicStreak int `json:"panic_streak,omitempty"`
 }
 
 // Health reports liveness and readiness. The engine degrades — Ready

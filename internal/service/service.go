@@ -31,6 +31,7 @@ import (
 	"igpart"
 	"igpart/internal/fault"
 	"igpart/internal/hypergraph"
+	"igpart/internal/jobreg"
 	"igpart/internal/obs"
 )
 
@@ -92,9 +93,6 @@ type Config struct {
 	// MaxTimeout caps per-request timeouts (and the default). 0 means
 	// uncapped.
 	MaxTimeout time.Duration
-	// MaxFinished bounds how many terminal jobs stay queryable; the
-	// oldest are forgotten first. Default 1024.
-	MaxFinished int
 	// Metrics receives the engine's counters and gauges (jobs by
 	// outcome, queue rejections, cache hits/misses/evictions). Nil gets
 	// a private registry, still reachable via Engine.Metrics.
@@ -132,9 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 128
-	}
-	if c.MaxFinished <= 0 {
-		c.MaxFinished = 1024
 	}
 	if c.Metrics == nil {
 		c.Metrics = new(obs.Registry)
@@ -322,6 +317,10 @@ func (j *Job) finish(state State, res *Result, cached bool, err error) bool {
 	return true
 }
 
+// keepFinished is how many terminal jobs stay queryable; the oldest are
+// forgotten first.
+const keepFinished = 1024
+
 // Engine is the partition job engine: worker pool, bounded queue,
 // result cache, and job registry.
 type Engine struct {
@@ -340,12 +339,11 @@ type Engine struct {
 	// clock paces retry backoff; tests substitute a fake.
 	clock clock
 
+	jobs *jobreg.Registry[*Job]
+
 	mu          sync.Mutex
 	closed      bool
-	nextID      int64
-	jobs        map[string]*Job
-	finished    []string // terminal job IDs, oldest first, for pruning
-	panicStreak int      // consecutive panicking solves, for Health
+	panicStreak int // consecutive panicking solves, for Health
 }
 
 // New starts an engine with cfg's worker pool running.
@@ -357,7 +355,7 @@ func New(cfg Config) *Engine {
 		cache: newLRU(cfg.CacheEntries, cfg.Metrics, cfg.Fault),
 		queue: make(chan *Job, cfg.QueueDepth),
 		clock: realClock{},
-		jobs:  make(map[string]*Job),
+		jobs:  jobreg.New[*Job](keepFinished),
 	}
 	// The solve closure binds the engine's injector so the pipeline's
 	// own points (eigen.noconverge, sweep.slow-shard) share one stream.
@@ -482,40 +480,37 @@ func (e *Engine) enqueue(req Request, key string, ws *warmSpec) (*Job, error) {
 		cancel(ErrShutdown)
 		return nil, ErrShutdown
 	}
-	e.nextID++
-	job.id = fmt.Sprintf("job-%d", e.nextID)
-	select {
-	case e.queue <- job:
-		e.jobs[job.id] = job
-		e.pruneFinishedLocked()
-		e.mu.Unlock()
-		e.reg.Counter("service.jobs_submitted").Add(1)
-		e.reg.Gauge("service.queue_depth").Set(float64(len(e.queue)))
-		return job, nil
-	default:
+	job.id = e.jobs.NextID("job")
+	if len(e.queue) == cap(e.queue) {
 		e.mu.Unlock()
 		stopTimer()
 		cancel(ErrQueueFull)
 		e.reg.Counter("service.jobs_rejected").Add(1)
 		return nil, ErrQueueFull
 	}
+	// Register before sending, so a worker cannot finish the job before
+	// it is queryable. The send cannot block: every send happens under
+	// e.mu and a slot is free.
+	e.jobs.Add(job.id, job)
+	e.queue <- job
+	e.mu.Unlock()
+	e.reg.Counter("service.jobs_submitted").Add(1)
+	e.reg.Gauge("service.queue_depth").Set(float64(len(e.queue)))
+	return job, nil
 }
 
 // Get returns the job with the given ID.
-func (e *Engine) Get(id string) (*Job, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	j, ok := e.jobs[id]
-	return j, ok
-}
+func (e *Engine) Get(id string) (*Job, bool) { return e.jobs.Get(id) }
 
 // Cancel requests cooperative cancellation of the job: a queued job is
 // finalized immediately, a running one stops at the next sweep-split or
-// Lanczos-cycle poll. It reports whether the ID was known.
-func (e *Engine) Cancel(id string) bool {
+// Lanczos-cycle poll. It returns the job it resolved, so callers never
+// look the ID up a second time (finished jobs may be pruned in between),
+// and reports whether the ID was known.
+func (e *Engine) Cancel(id string) (*Job, bool) {
 	j, ok := e.Get(id)
 	if !ok {
-		return false
+		return nil, false
 	}
 	j.cancel(ErrCancelled)
 	j.mu.Lock()
@@ -526,10 +521,10 @@ func (e *Engine) Cancel(id string) bool {
 		// worker does, tryStart sees the terminal state and moves on.
 		if j.finish(StateCancelled, nil, false, ErrCancelled) {
 			e.reg.Counter("service.jobs_cancelled").Add(1)
-			e.recordFinished(j)
+			e.jobs.Finish(j.id)
 		}
 	}
-	return true
+	return j, true
 }
 
 // Shutdown stops intake and drains: queued and running jobs keep
@@ -554,11 +549,9 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	case <-drained:
 		return nil
 	case <-ctx.Done():
-		e.mu.Lock()
-		for _, j := range e.jobs {
+		for _, j := range e.jobs.Jobs() {
 			j.cancel(ErrShutdown)
 		}
-		e.mu.Unlock()
 		<-drained
 		return ctx.Err()
 	}
@@ -587,7 +580,7 @@ func (e *Engine) run(job *Job) {
 	if res, ok := e.cache.get(key); ok {
 		if job.finish(StateDone, res, true, nil) {
 			e.reg.Counter("service.jobs_completed").Add(1)
-			e.recordFinished(job)
+			e.jobs.Finish(job.id)
 		}
 		return
 	}
@@ -600,14 +593,14 @@ func (e *Engine) run(job *Job) {
 		e.cache.put(key, res)
 		if job.finish(StateDone, res, false, nil) {
 			e.reg.Counter("service.jobs_completed").Add(1)
-			e.recordFinished(job)
+			e.jobs.Finish(job.id)
 		}
 	case job.ctx.Err() != nil:
 		e.finalizeAborted(job)
 	default:
 		if job.finish(StateFailed, nil, false, err) {
 			e.reg.Counter("service.jobs_failed").Add(1)
-			e.recordFinished(job)
+			e.jobs.Finish(job.id)
 		}
 	}
 }
@@ -685,28 +678,11 @@ func (e *Engine) finalizeAborted(job *Job) {
 	if errors.Is(cause, context.DeadlineExceeded) {
 		if job.finish(StateFailed, nil, false, fmt.Errorf("service: job deadline exceeded: %w", context.DeadlineExceeded)) {
 			e.reg.Counter("service.jobs_failed").Add(1)
-			e.recordFinished(job)
+			e.jobs.Finish(job.id)
 		}
 	} else if job.finish(StateCancelled, nil, false, cause) {
 		e.reg.Counter("service.jobs_cancelled").Add(1)
-		e.recordFinished(job)
-	}
-}
-
-// recordFinished appends the job to the terminal list for pruning.
-func (e *Engine) recordFinished(job *Job) {
-	e.mu.Lock()
-	e.finished = append(e.finished, job.id)
-	e.pruneFinishedLocked()
-	e.mu.Unlock()
-}
-
-// pruneFinishedLocked forgets the oldest terminal jobs beyond
-// MaxFinished so the registry cannot grow without bound.
-func (e *Engine) pruneFinishedLocked() {
-	for len(e.finished) > e.cfg.MaxFinished {
-		delete(e.jobs, e.finished[0])
-		e.finished = e.finished[1:]
+		e.jobs.Finish(job.id)
 	}
 }
 

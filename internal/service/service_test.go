@@ -209,14 +209,14 @@ func TestCancelQueuedJobIsImmediate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit queued: %v", err)
 	}
-	if !e.Cancel(j2.ID()) {
+	if _, ok := e.Cancel(j2.ID()); !ok {
 		t.Fatal("cancel: unknown job")
 	}
 	s := j2.Snapshot() // no waiting: a queued cancel finalizes inline
 	if s.State != StateCancelled || !errors.Is(s.Err, ErrCancelled) {
 		t.Fatalf("queued cancel: state=%s err=%v", s.State, s.Err)
 	}
-	if e.Cancel("job-nope") {
+	if _, ok := e.Cancel("job-nope"); ok {
 		t.Fatal("cancel of unknown ID reported success")
 	}
 	close(release)
@@ -302,7 +302,7 @@ func TestCancelMidSweep(t *testing.T) {
 	waitState(t, j, StateRunning, 10*time.Second)
 	time.Sleep(30 * time.Millisecond) // bite into eigensolve/sweep
 	t0 := time.Now()
-	if !e.Cancel(j.ID()) {
+	if _, ok := e.Cancel(j.ID()); !ok {
 		t.Fatal("cancel: unknown job")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -462,7 +462,7 @@ func TestKWayCancelMidSweep(t *testing.T) {
 	waitState(t, j, StateRunning, 10*time.Second)
 	time.Sleep(30 * time.Millisecond)
 	t0 := time.Now()
-	if !e.Cancel(j.ID()) {
+	if _, ok := e.Cancel(j.ID()); !ok {
 		t.Fatal("cancel: unknown job")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
