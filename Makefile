@@ -57,37 +57,36 @@ chaos:
 	$(GO) test -race ./internal/cluster -run 'Failover|Dead|JournalRecovery|Backpressure|Lease|Standby|Membership|Backends|Crash|Probe|JournalFailure'
 	$(GO) test -race ./cmd/igpartd -run 'Readyz|Liveness|IOReadErr|BadRequest|ClusterChaos|ClusterCoordinatorRestart|Standby|SwitchHandler|JournalFailure'
 
-# CI bench sanity: regenerate the small-circuit report and fail on any
-# ratio-cut regression beyond 10% of the checked-in baseline, hold the
-# checked-in scale report to the million-net gate (>=100k nets, selective
-# reorth >=3x faster than full at equal ratio cut) and the checked-in
-# portfolio report to the ECO gate (warm re-partition >=3x faster than a
-# cold re-solve at matching ratio cut), then the kway-sanity step: rerun
-# both balanced k-way engines at k in {2,4,8} and fail on spanning-net
-# regressions against the checked-in k-way baseline.
+# CI bench sanity: rerun the suite workload and fail on any ratio-cut
+# regression beyond 10% of the checked-in baseline, gate the checked-in
+# scale report on its million-net claims (>=100k nets, selective reorth
+# >=3x faster than full at equal ratio cut) and the checked-in portfolio
+# report on its ECO claims (warm re-partition >=3x faster than a cold
+# re-solve at matching ratio cut), then the kway-sanity step: rerun both
+# balanced k-way engines at k in {2,4,8} and fail on spanning-net
+# regressions against the checked-in k-way baseline. Fresh reports land
+# under /tmp, never in the tree.
 bench-sanity:
-	$(GO) run igpart/cmd/experiments -report ci -scale 0.25 -p 1 \
+	$(GO) run igpart/cmd/experiments -report ci -results /tmp/igpart-bench -scale 0.25 -p 1 \
 		-baseline results/BENCH_baseline.json -tolerance 0.10
-	$(GO) run igpart/cmd/experiments -verify-scale results/BENCH_scale.json
-	$(GO) run igpart/cmd/experiments -verify-portfolio results/BENCH_portfolio.json
-	$(GO) run igpart/cmd/experiments -kway-report kway-ci -results /tmp/igpart-kway \
-		-scale 0.25 -p 1 -kway-baseline results/BENCH_kway.json -tolerance 0.10
+	$(GO) run igpart/cmd/experiments -gate results/BENCH_scale.json
+	$(GO) run igpart/cmd/experiments -gate results/BENCH_portfolio.json
+	$(GO) run igpart/cmd/experiments -report kway-ci -workload kway -results /tmp/igpart-bench \
+		-scale 0.25 -p 1 -baseline results/BENCH_kway.json -tolerance 0.10
 
 # Regenerate the checked-in million-net-scale report: the 100k-net preset
 # partitioned by the candidate sweep under selective and full
-# reorthogonalization.
+# reorthogonalization, gated on its claims once written.
 scale-report:
-	$(GO) run igpart/cmd/experiments -scale-report scale -scale-preset scale100k
+	$(GO) run igpart/cmd/experiments -report scale -workload scale
 
 # CI scale smoke: a fresh 100k-net run diffed against the checked-in
 # report — ratio cuts are deterministic (1% tolerance), wall times get a
-# generous 5x cross-machine budget — then the >=3x-speedup gate on the
-# fresh numbers themselves.
+# generous 5x cross-machine budget — and held to the >=3x-speedup claims
+# on its own numbers, in one command.
 scale-smoke:
-	$(GO) run igpart/cmd/experiments -scale-report scale-smoke -results /tmp/igpart-scale \
-		-scale-preset scale100k -baseline results/BENCH_scale.json \
-		-tolerance 0.01 -scale-budget 5.0
-	$(GO) run igpart/cmd/experiments -verify-scale /tmp/igpart-scale/BENCH_scale-smoke.json
+	$(GO) run igpart/cmd/experiments -report scale-smoke -workload scale -results /tmp/igpart-scale \
+		-baseline results/BENCH_scale.json -tolerance 0.01 -wall-budget 5.0
 
 race:
 	$(GO) test -race ./...

@@ -1,5 +1,6 @@
 // Command experiments regenerates the paper's tables and the DESIGN.md
-// ablations on the synthetic benchmark suite.
+// ablations on the synthetic benchmark suite, and writes and gates the
+// machine-readable run reports behind results/BENCH_*.json.
 //
 // Usage:
 //
@@ -11,33 +12,43 @@
 //	                               # lanczos, scaling, trace
 //	experiments -scale 0.25        # smaller circuits for a quick pass
 //	experiments -csv results/      # also write machine-readable CSVs
-//	experiments -report nightly    # write results/BENCH_nightly.json
-//	experiments -report ci -baseline results/BENCH_baseline.json
+//	experiments -trace -table 2    # per-stage timing tree after the tables
+//	experiments -report nightly    # write results/BENCH_nightly.json (the
+//	                               # suite workload) and gate it
+//	experiments -report ci -scale 0.25 -p 1 -baseline results/BENCH_baseline.json
 //	                               # CI bench-sanity: fail on ratio-cut
 //	                               # regressions beyond -tolerance
-//	experiments -trace -table 2    # per-stage timing tree after the tables
-//	experiments -scale-report scale
-//	                               # million-net harness: run the scale
-//	                               # preset under selective and full
-//	                               # reorth, write results/BENCH_scale.json
-//	experiments -verify-scale results/BENCH_scale.json
-//	                               # gate: ≥100k nets, selective ≥3×
-//	                               # faster at equal ratio cut
-//	experiments -portfolio-report portfolio
-//	                               # portfolio/ECO harness: race vs fixed
-//	                               # IG-Match, warm vs cold ECO re-solve,
-//	                               # write results/BENCH_portfolio.json
-//	experiments -verify-portfolio results/BENCH_portfolio.json
-//	                               # gate: warm ECO ≥3× faster than cold
-//	                               # at matching ratio cut
+//	experiments -report kway -workload kway -scale 0.25 -p 1
+//	                               # both balanced k-way engines at
+//	                               # k in {2,4,8}; -baseline diffs
+//	                               # spanning nets
+//	experiments -report scale -workload scale
+//	                               # million-net harness: scale100k under
+//	                               # selective and full reorth, gated on
+//	                               # ≥100k nets and a ≥3× selective speedup
+//	                               # at equal ratio cut
+//	experiments -report portfolio -workload portfolio
+//	                               # portfolio/ECO harness on scale10k:
+//	                               # race vs fixed IG-Match, warm vs cold
+//	                               # ECO re-solve, gated on a ≥3× warm
+//	                               # speedup at matching ratio cut
+//	experiments -gate results/BENCH_scale.json
+//	                               # gate an existing report against its
+//	                               # workload's claims (and -baseline)
+//
+// -trace, -metrics and -cpuprofile apply to every mode; on a report they
+// print the report's own stage tree and metrics snapshot.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"igpart/internal/bench"
@@ -46,170 +57,107 @@ import (
 )
 
 func main() {
-	var (
-		table      = flag.String("table", "all", "which table to regenerate")
-		scale      = flag.Float64("scale", 1.0, "benchmark scale factor")
-		starts     = flag.Int("starts", 10, "RCut random starts")
-		seeds      = flag.Int("seeds", 5, "seeds for the stability table")
-		par        = flag.Int("p", 0, "IG-Match sweep parallelism (0 = GOMAXPROCS, 1 = serial; results identical)")
-		levels     = flag.Int("levels", 0, "multilevel V-cycle depth (0 = package default, 1 = flat)")
-		csvDir     = flag.String("csv", "", "also write machine-readable CSVs into this directory")
-		report     = flag.String("report", "", "write a JSON run report named BENCH_<name>.json instead of tables")
-		kwayReport = flag.String("kway-report", "", "write a balanced k-way report BENCH_<name>.json (both engines, k per -ks) instead of tables")
-		kwayBase   = flag.String("kway-baseline", "", "with -kway-report: diff against this BENCH_*.json and fail on spanning-net regressions")
-		kwayEps    = flag.Float64("kway-eps", 0.03, "imbalance budget for -kway-report")
-		resultsDir = flag.String("results", "results", "directory for -report output")
-		baseline   = flag.String("baseline", "", "with -report: diff the fresh report against this BENCH_*.json and fail on ratio-cut regressions")
-		tolerance  = flag.Float64("tolerance", 0.10, "relative ratio-cut tolerance for -baseline comparisons")
-		trace      = flag.Bool("trace", false, "print the per-stage timing tree after the run")
-		metrics    = flag.Bool("metrics", false, "print the run's metrics registry (counters/gauges/timers)")
-		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-
-		reorth      = flag.String("reorth", "", "Lanczos reorthogonalization mode: auto (default), full, selective")
-		matvecP     = flag.Int("matvec-p", 0, "eigensolver matvec workers (0 = auto, 1 = serial)")
-		scaleReport = flag.String("scale-report", "", "run the scale harness and write BENCH_<name>.json instead of tables")
-		scalePreset = flag.String("scale-preset", "scale100k", "netgen preset for -scale-report (scale10k..scale1M or any benchmark)")
-		candidates  = flag.Int("candidates", 0, "candidate splits for -scale-report (0 = default 32)")
-		scaleBudget = flag.Float64("scale-budget", 3.0, "with -scale-report -baseline: wall-clock budget factor (<=0 disables)")
-		verifyScale = flag.String("verify-scale", "", "verify an existing scale report against the >=100k-net, >=3x-speedup gate and exit")
-
-		portfolioReport = flag.String("portfolio-report", "", "run the portfolio/ECO harness and write BENCH_<name>.json instead of tables")
-		portfolioPreset = flag.String("portfolio-preset", "scale10k", "netgen preset for -portfolio-report")
-		deltaNets       = flag.Int("delta-nets", 0, "nets removed by the ECO delta for -portfolio-report (0 = 1% of the circuit)")
-		verifyPortfolio = flag.String("verify-portfolio", "", "verify an existing portfolio report against the warm>=3x-speedup gate and exit")
-	)
-	flag.Parse()
-	reorthMode, err := eigen.ParseReorthMode(*reorth)
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
+}
 
-	if *verifyScale != "" {
-		rep, err := bench.ReadReportFile(*verifyScale)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: verify-scale:", err)
-			os.Exit(1)
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	var (
+		table   = fs.String("table", "all", "which table to regenerate")
+		scale   = fs.Float64("scale", 1.0, "benchmark scale factor (also shrinks the scale and portfolio presets)")
+		starts  = fs.Int("starts", 10, "RCut random starts")
+		seeds   = fs.Int("seeds", 5, "seeds for the stability table")
+		par     = fs.Int("p", 0, "IG-Match sweep parallelism (0 = GOMAXPROCS, 1 = serial; results identical)")
+		levels  = fs.Int("levels", 0, "multilevel V-cycle depth (0 = package default, 1 = flat)")
+		csvDir  = fs.String("csv", "", "also write machine-readable CSVs into this directory")
+		trace   = fs.Bool("trace", false, "print the per-stage timing tree after the run")
+		metrics = fs.Bool("metrics", false, "print the run's metrics registry (counters/gauges/timers)")
+		cpuProf = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		reorth  = fs.String("reorth", "", "Lanczos reorthogonalization mode: auto (default), full, selective")
+		matvecP = fs.Int("matvec-p", 0, "eigensolver matvec workers (0 = auto, 1 = serial)")
+
+		report     = fs.String("report", "", "run -workload, write it as BENCH_<name>.json instead of tables, and gate it")
+		workload   = fs.String("workload", bench.WorkloadSuite, "report workload: suite, kway, scale or portfolio")
+		resultsDir = fs.String("results", "results", "directory for -report output")
+		baseline   = fs.String("baseline", "", "also diff the gated report against this BENCH_*.json, cell by cell")
+		tolerance  = fs.Float64("tolerance", 0.10, "relative tolerance on each cell's ratio cut (spanning nets for k-way) in -baseline diffs")
+		wallBudget = fs.Float64("wall-budget", 0, "in -baseline diffs, fail a cell slower than this factor times its baseline wall time (0 = off)")
+		gate       = fs.String("gate", "", "gate this existing BENCH_*.json against its workload's claims (and -baseline) instead of running")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
 		}
-		if violations := bench.VerifyScaleReport(rep); len(violations) > 0 {
-			fmt.Fprintf(os.Stderr, "experiments: %s fails the scale gate:\n", *verifyScale)
-			for _, v := range violations {
-				fmt.Fprintln(os.Stderr, "  ", v)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("verify-scale: %s passes (>=%d nets, >=%.1fx selective speedup, ratio cuts within %.0f%%)\n",
-			*verifyScale, bench.ScaleMinNets, bench.ScaleMinSpeedup, bench.ScaleRatioTol*100)
-		return
+		return err
 	}
-
-	if *verifyPortfolio != "" {
-		rep, err := bench.ReadReportFile(*verifyPortfolio)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: verify-portfolio:", err)
-			os.Exit(1)
-		}
-		if violations := bench.VerifyPortfolioReport(rep); len(violations) > 0 {
-			fmt.Fprintf(os.Stderr, "experiments: %s fails the portfolio gate:\n", *verifyPortfolio)
-			for _, v := range violations {
-				fmt.Fprintln(os.Stderr, "  ", v)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("verify-portfolio: %s passes (warm ECO >=%.1fx faster than cold, ratio cuts within %.0f%%, portfolio no worse than fixed IG-Match)\n",
-			*verifyPortfolio, bench.PortfolioWarmSpeedup, bench.PortfolioRatioTol*100)
-		return
-	}
-
-	if *portfolioReport != "" {
-		rep, err := bench.PortfolioReport(*portfolioReport, bench.PortfolioConfig{
-			Preset:      *portfolioPreset,
-			DeltaNets:   *deltaNets,
-			Parallelism: *par,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: portfolio-report:", err)
-			os.Exit(1)
-		}
-		path, err := rep.WriteFile(*resultsDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: portfolio-report:", err)
-			os.Exit(1)
-		}
-		c := rep.Circuits[0]
-		fmt.Printf("wrote %s (%s: %d modules, %d nets)\n", path, c.Name, c.Modules, c.Nets)
-		for _, run := range c.Runs {
-			fmt.Printf("  %-24s wall=%-14s ratio=%.6g cut=%d\n",
-				run.Alg, fmtNS(run.WallNS), run.RatioCut, run.Metrics.CutNets)
-		}
-		if violations := bench.VerifyPortfolioReport(rep); len(violations) > 0 {
-			fmt.Fprintln(os.Stderr, "experiments: fresh portfolio report fails its own gate:")
-			for _, v := range violations {
-				fmt.Fprintln(os.Stderr, "  ", v)
-			}
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *scaleReport != "" {
-		rep, err := bench.ScaleReport(*scaleReport, bench.ScaleConfig{
-			Preset:        *scalePreset,
-			Candidates:    *candidates,
-			Parallelism:   *par,
-			MatvecWorkers: *matvecP,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: scale-report:", err)
-			os.Exit(1)
-		}
-		path, err := rep.WriteFile(*resultsDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: scale-report:", err)
-			os.Exit(1)
-		}
-		c := rep.Circuits[0]
-		fmt.Printf("wrote %s (%s: %d modules, %d nets)\n", path, c.Name, c.Modules, c.Nets)
-		for _, run := range c.Runs {
-			fmt.Printf("  %-20s wall=%-14s ratio=%.6g cut=%d\n",
-				run.Alg, fmtNS(run.WallNS), run.RatioCut, run.Metrics.CutNets)
-		}
-		if *baseline != "" {
-			base, err := bench.ReadReportFile(*baseline)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: baseline:", err)
-				os.Exit(1)
-			}
-			regressions := bench.CompareReportsWithBudget(base, rep, *tolerance, *scaleBudget)
-			if len(regressions) > 0 {
-				fmt.Fprintf(os.Stderr, "experiments: %d regression(s) vs %s (ratio tolerance %.0f%%, wall budget %.1fx):\n",
-					len(regressions), *baseline, *tolerance*100, *scaleBudget)
-				for _, r := range regressions {
-					fmt.Fprintln(os.Stderr, "  ", r)
-				}
-				os.Exit(1)
-			}
-			fmt.Printf("scale-smoke: no regressions vs %s (ratio tolerance %.0f%%, wall budget %.1fx)\n",
-				*baseline, *tolerance*100, *scaleBudget)
-		}
-		return
+	reorthMode, err := eigen.ParseReorthMode(*reorth)
+	if err != nil {
+		return err
 	}
 	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+		f, ferr := os.Create(*cpuProf)
+		if ferr != nil {
+			return ferr
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+		if err = pprof.StartCPUProfile(f); err != nil {
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
 	s := bench.Suite{
 		Scale: *scale, RCutStarts: *starts, Parallelism: *par, Levels: *levels,
 		Reorth: reorthMode, MatvecWorkers: *matvecP,
+	}
+
+	if *report != "" || *gate != "" {
+		var rep *bench.Report
+		label := *gate
+		if *gate != "" {
+			rep, err = bench.ReadReportFile(*gate)
+		} else if rep, err = s.Report(*report, *workload); err == nil {
+			if label, err = rep.WriteFile(*resultsDir); err == nil {
+				printSummary(stdout, label, rep)
+			}
+		}
+		if err != nil {
+			return err
+		}
+		if *trace {
+			root := obs.Stage{Name: "bench:" + rep.Name, DurationNS: rep.TotalNS}
+			for _, c := range rep.Circuits {
+				root.Children = append(root.Children, c.Stages)
+			}
+			fmt.Fprint(stdout, obs.FormatTree(root))
+		}
+		if *metrics {
+			fmt.Fprint(stdout, rep.Metrics.String())
+		}
+		var base *bench.Report
+		if *baseline != "" {
+			if base, err = bench.ReadReportFile(*baseline); err != nil {
+				return err
+			}
+		}
+		if fails := bench.Gate(base, rep, *tolerance, *wallBudget); len(fails) > 0 {
+			return fmt.Errorf("%s fails the %s gate:\n   %s", label, rep.Workload, strings.Join(fails, "\n   "))
+		}
+		fmt.Fprintf(stdout, "gate: %s passes (%s workload", label, rep.Workload)
+		if base != nil {
+			fmt.Fprintf(stdout, ", vs %s at tolerance %.0f%%", *baseline, *tolerance*100)
+			if *wallBudget > 0 {
+				fmt.Fprintf(stdout, " and a %.1fx wall budget", *wallBudget)
+			}
+		}
+		fmt.Fprintln(stdout, ")")
+		return nil
 	}
 
 	var tr *obs.Trace
@@ -223,114 +171,36 @@ func main() {
 		}
 		tr.End()
 		if *trace {
-			fmt.Print(tr.String())
+			fmt.Fprint(stdout, tr.String())
 		}
 		if *metrics {
-			fmt.Print(tr.Metrics().Snapshot().String())
+			fmt.Fprint(stdout, tr.Metrics().Snapshot().String())
 		}
 	}()
 
-	if *report != "" {
-		rep, err := s.Report(*report, nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: report:", err)
-			os.Exit(1)
-		}
-		path, err := rep.WriteFile(*resultsDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: report:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d circuits × %d algorithms)\n",
-			path, len(rep.Circuits), len(rep.Algorithms))
-		if *baseline != "" {
-			base, err := bench.ReadReportFile(*baseline)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: baseline:", err)
-				os.Exit(1)
-			}
-			regressions := bench.CompareReports(base, rep, *tolerance)
-			if len(regressions) > 0 {
-				fmt.Fprintf(os.Stderr, "experiments: %d ratio-cut regression(s) vs %s (tolerance %.0f%%):\n",
-					len(regressions), *baseline, *tolerance*100)
-				for _, r := range regressions {
-					fmt.Fprintln(os.Stderr, "  ", r)
-				}
-				os.Exit(1)
-			}
-			fmt.Printf("bench-sanity: no ratio-cut regressions vs %s (tolerance %.0f%%)\n",
-				*baseline, *tolerance*100)
-		}
-		return
-	}
-
-	if *kwayReport != "" {
-		rep, err := s.KWayReport(*kwayReport, bench.DefaultKWayKs(), *kwayEps)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: kway-report:", err)
-			os.Exit(1)
-		}
-		path, err := rep.WriteFile(*resultsDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: kway-report:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d circuits, k=%v, eps=%g)\n", path, len(rep.Circuits), rep.Ks, rep.Eps)
-		fmt.Print(bench.FormatKWayTable(rep))
-		if *kwayBase != "" {
-			base, err := bench.ReadKWayReportFile(*kwayBase)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: kway-baseline:", err)
-				os.Exit(1)
-			}
-			regressions := bench.CompareKWayReports(base, rep, *tolerance)
-			if len(regressions) > 0 {
-				fmt.Fprintf(os.Stderr, "experiments: %d spanning-net regression(s) vs %s (tolerance %.0f%%):\n",
-					len(regressions), *kwayBase, *tolerance*100)
-				for _, r := range regressions {
-					fmt.Fprintln(os.Stderr, "  ", r)
-				}
-				os.Exit(1)
-			}
-			fmt.Printf("kway-sanity: no spanning-net regressions vs %s (tolerance %.0f%%)\n",
-				*kwayBase, *tolerance*100)
-		}
-		return
-	}
-
+	var tableErr error // the first table or CSV failure; later tables are skipped
 	writeCSV := func(name string, emit func(w *os.File) error) {
-		if *csvDir == "" {
+		if *csvDir == "" || tableErr != nil {
 			return
 		}
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: csv dir: %v\n", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(filepath.Join(*csvDir, name))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: csv %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := emit(f); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: csv %s: %v\n", name, err)
-			os.Exit(1)
+		if err := writeCSVFile(*csvDir, name, emit); err != nil {
+			tableErr = fmt.Errorf("csv %s: %w", name, err)
 		}
 	}
-
-	run := func(name string, f func() (string, error)) {
-		if *table != "all" && *table != name {
+	emit := func(name string, f func() (string, error)) {
+		if tableErr != nil || (*table != "all" && *table != name) {
 			return
 		}
 		out, err := f()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: table %s: %v\n", name, err)
-			os.Exit(1)
+		switch {
+		case err != nil:
+			tableErr = fmt.Errorf("table %s: %w", name, err)
+		case tableErr == nil:
+			fmt.Fprintln(stdout, out)
 		}
-		fmt.Println(out)
 	}
 
-	run("1", func() (string, error) {
+	emit("1", func() (string, error) {
 		r, err := s.Table1()
 		if err != nil {
 			return "", err
@@ -343,7 +213,7 @@ func main() {
 			bench.NonMonotone(r.Rows, 5))
 		return out, nil
 	})
-	run("2", func() (string, error) {
+	emit("2", func() (string, error) {
 		rows, err := s.Table2()
 		if err != nil {
 			return "", err
@@ -353,7 +223,7 @@ func main() {
 		})
 		return bench.FormatCompare("Table 2: IG-Match vs RCut (paper: 28.8% avg)", "RCut", "IG-Match", rows), nil
 	})
-	run("3", func() (string, error) {
+	emit("3", func() (string, error) {
 		rows, err := s.Table3()
 		if err != nil {
 			return "", err
@@ -363,84 +233,84 @@ func main() {
 		})
 		return bench.FormatCompare("Table 3: IG-Match vs IG-Vote (paper: 7% avg, uniform domination)", "IG-Vote", "IG-Match", rows), nil
 	})
-	run("eig1", func() (string, error) {
+	emit("eig1", func() (string, error) {
 		rows, err := s.TableEIG1()
 		if err != nil {
 			return "", err
 		}
 		return bench.FormatCompare("Section 4: IG-Match vs EIG1 (paper: 22% avg)", "EIG1", "IG-Match", rows), nil
 	})
-	run("igdiam", func() (string, error) {
+	emit("igdiam", func() (string, error) {
 		rows, err := s.TableIGDiam()
 		if err != nil {
 			return "", err
 		}
 		return bench.FormatCompare("Prior IG work: IG-Match vs diameter heuristic (Kahng'89 style)", "IG-Diam", "IG-Match", rows), nil
 	})
-	run("sparsity", func() (string, error) {
+	emit("sparsity", func() (string, error) {
 		rows, err := s.SparsityTable()
 		if err != nil {
 			return "", err
 		}
 		return bench.FormatSparsity(rows), nil
 	})
-	run("timing", func() (string, error) {
+	emit("timing", func() (string, error) {
 		rows, err := s.TimingTable()
 		if err != nil {
 			return "", err
 		}
 		return bench.FormatTiming(rows, *starts), nil
 	})
-	run("stability", func() (string, error) {
+	emit("stability", func() (string, error) {
 		rows, err := s.StabilityTable(*seeds)
 		if err != nil {
 			return "", err
 		}
 		return bench.FormatStability(rows), nil
 	})
-	run("weights", func() (string, error) {
+	emit("weights", func() (string, error) {
 		rows, err := s.WeightSchemeTable()
 		if err != nil {
 			return "", err
 		}
 		return bench.FormatWeightSchemes(rows), nil
 	})
-	run("netmodel", func() (string, error) {
+	emit("netmodel", func() (string, error) {
 		rows, err := s.NetModelTable()
 		if err != nil {
 			return "", err
 		}
 		return bench.FormatNetModel(rows), nil
 	})
-	run("threshold", func() (string, error) {
+	emit("threshold", func() (string, error) {
 		rows, err := s.ThresholdTable(nil)
 		if err != nil {
 			return "", err
 		}
 		return bench.FormatThreshold(rows), nil
 	})
-	run("recursive", func() (string, error) {
+	emit("recursive", func() (string, error) {
 		rows, err := s.RecursiveTable()
 		if err != nil {
 			return "", err
 		}
 		return bench.FormatRecursive(rows), nil
 	})
-	run("refine", func() (string, error) {
+	emit("refine", func() (string, error) {
 		rows, err := s.RefineTable()
 		if err != nil {
 			return "", err
 		}
 		return bench.FormatRefine(rows), nil
 	})
-	run("cluster", func() (string, error) {
+	emit("cluster", func() (string, error) {
 		rows, err := s.ClusterTable()
 		if err != nil {
 			return "", err
 		}
 		return bench.FormatCluster(rows), nil
 	})
-	run("multilevel", func() (string, error) {
+	emit("multilevel", func() (string, error) {
 		rows, err := s.MultilevelTable()
 		if err != nil {
 			return "", err
@@ -450,35 +320,35 @@ func main() {
 		})
 		return bench.FormatMultilevel(rows), nil
 	})
-	run("taxonomy", func() (string, error) {
+	emit("taxonomy", func() (string, error) {
 		rows, err := s.TaxonomyTable()
 		if err != nil {
 			return "", err
 		}
 		return bench.FormatTaxonomy(rows), nil
 	})
-	run("ordering", func() (string, error) {
+	emit("ordering", func() (string, error) {
 		rows, err := s.OrderingTable(3)
 		if err != nil {
 			return "", err
 		}
 		return bench.FormatOrdering(rows), nil
 	})
-	run("lanczos", func() (string, error) {
+	emit("lanczos", func() (string, error) {
 		rows, err := s.LanczosTable()
 		if err != nil {
 			return "", err
 		}
 		return bench.FormatLanczos(rows), nil
 	})
-	run("scaling", func() (string, error) {
+	emit("scaling", func() (string, error) {
 		rows, err := s.ScalingTable(nil)
 		if err != nil {
 			return "", err
 		}
 		return bench.FormatScaling(rows), nil
 	})
-	run("trace", func() (string, error) {
+	emit("trace", func() (string, error) {
 		trace, err := s.SweepTrace("Prim2")
 		if err != nil {
 			return "", err
@@ -488,7 +358,41 @@ func main() {
 		})
 		return fmt.Sprintf("sweep trace: %d splits recorded (use -csv to export)", len(trace)), nil
 	})
+	return tableErr
 }
 
-// fmtNS renders a wall time compactly for the scale-report summary.
+// printSummary lists a fresh report's cells: the k-way table, or one
+// line per bipartitioning run.
+func printSummary(stdout io.Writer, path string, rep *bench.Report) {
+	fmt.Fprintf(stdout, "wrote %s (%d circuits × %d runs)\n", path, len(rep.Circuits), len(rep.Algorithms))
+	if rep.Workload == bench.WorkloadKWay {
+		fmt.Fprint(stdout, bench.FormatKWayTable(rep))
+		return
+	}
+	for _, c := range rep.Circuits {
+		for _, run := range c.Runs {
+			fmt.Fprintf(stdout, "  %-10s %-24s wall=%-12s ratio=%.6g cut=%d\n",
+				c.Name, run.Alg, fmtNS(run.WallNS), run.RatioCut, run.Metrics.CutNets)
+		}
+	}
+}
+
+// writeCSVFile creates dir/name and fills it with emit.
+func writeCSVFile(dir, name string, emit func(w *os.File) error) (err error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(filepath.Join(dir, name))
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	return emit(f)
+}
+
+// fmtNS renders a wall time compactly for the report summary.
 func fmtNS(ns int64) string { return time.Duration(ns).Round(time.Millisecond).String() }

@@ -50,9 +50,13 @@ type Suite struct {
 	MatvecWorkers int
 	// Rec, when non-nil, receives one stage span per algorithm run; the
 	// IG-Match spans carry the full pipeline breakdown (IG build,
-	// eigensolve, sweep shards). Run reports (report.go) thread their
-	// own Trace here.
+	// eigensolve, sweep shards). Run reports (report.go) record under
+	// their own Trace instead.
 	Rec obs.Recorder
+	// Preset, when set, names the netgen benchmark that replaces the
+	// circuit of the scale and portfolio workloads (scale100k and
+	// scale10k), so smoke tests can run them on a small circuit.
+	Preset string
 }
 
 // DefaultSuite is the full-size configuration used by cmd/experiments.
@@ -70,9 +74,14 @@ func (s Suite) withDefaults() Suite {
 
 // circuits generates the benchmark suite at the configured scale.
 func (s Suite) circuits() ([]netgen.Config, []*hypergraph.Hypergraph, error) {
-	cfgs := make([]netgen.Config, len(netgen.Benchmarks))
-	hs := make([]*hypergraph.Hypergraph, len(netgen.Benchmarks))
-	for i, cfg := range netgen.Benchmarks {
+	return s.generate(netgen.Benchmarks)
+}
+
+// generate builds each circuit at the configured scale and seed offset.
+func (s Suite) generate(base []netgen.Config) ([]netgen.Config, []*hypergraph.Hypergraph, error) {
+	cfgs := make([]netgen.Config, len(base))
+	hs := make([]*hypergraph.Hypergraph, len(base))
+	for i, cfg := range base {
 		c := cfg.Scaled(s.Scale)
 		c.Seed += s.Seed
 		h, err := netgen.Generate(c)

@@ -1,217 +1,76 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"runtime"
-	"time"
 
 	"igpart/internal/core"
+	"igpart/internal/hypergraph"
 	"igpart/internal/multiway"
+	"igpart/internal/obs"
 )
 
-// This file produces the balanced k-way run report behind
-// results/BENCH_kway.json: both engines (recursive IG-Match bisection
-// and spectral-k vector partitioning) across k ∈ {2, 4, 8} on the whole
-// benchmark suite, gated in CI on spanning-net regressions the same way
-// the bipartition report is gated on ratio cut.
+// This file is the balanced k-way workload behind results/BENCH_kway.json:
+// both engines (recursive IG-Match bisection and spectral-k vector
+// partitioning) across k ∈ {2, 4, 8} on the whole benchmark suite, gated
+// in CI on spanning-net regressions the same way the suite workload is
+// gated on ratio cut.
 
-// The k-way engines a report covers.
+// The k-way engines the workload covers.
 const (
 	EngineRecursive = "recursive"
 	EngineSpectral  = "spectral"
 )
 
-// DefaultKWayKs is the part-count column of a k-way report.
-func DefaultKWayKs() []int { return []int{2, 4, 8} }
+// kwayEps is the imbalance budget ε of every k-way cell.
+const kwayEps = 0.03
 
-// KWayRun is one (circuit, k, engine) outcome.
-type KWayRun struct {
-	K            int     `json:"k"`
-	Engine       string  `json:"engine"`
-	Eps          float64 `json:"eps"`
-	Cap          int     `json:"cap"`
-	SpanningNets int     `json:"spanning_nets"`
-	Connectivity int     `json:"connectivity"`
-	RatioValue   float64 `json:"ratio_value"`
-	Sizes        []int   `json:"sizes"`
-	WallNS       int64   `json:"wall_ns"`
-}
+// kwayKs is the part-count column of the k-way workload.
+var kwayKs = []int{2, 4, 8}
 
-// KWayCircuitReport is one benchmark circuit's slice of a k-way report.
-type KWayCircuitReport struct {
-	Name    string    `json:"name"`
-	Modules int       `json:"modules"`
-	Nets    int       `json:"nets"`
-	Runs    []KWayRun `json:"runs"`
-}
+// kwayAlg names the k-way cell of engine at k.
+func kwayAlg(engine string, k int) string { return fmt.Sprintf("%s/k=%d", engine, k) }
 
-// KWayReport is the top-level BENCH_<name>.json document for k-way runs.
-type KWayReport struct {
-	Name       string              `json:"name"`
-	CreatedAt  time.Time           `json:"created_at"`
-	GoVersion  string              `json:"go_version"`
-	GOMAXPROCS int                 `json:"gomaxprocs"`
-	Suite      SuiteConfig         `json:"suite"`
-	Ks         []int               `json:"ks"`
-	Eps        float64             `json:"eps"`
-	Circuits   []KWayCircuitReport `json:"circuits"`
-	TotalNS    int64               `json:"total_ns"`
-}
-
-// KWayReport runs both k-way engines at every k over the benchmark suite
-// under the ε budget and assembles the run report.
-func (s Suite) KWayReport(name string, ks []int, eps float64) (*KWayReport, error) {
-	s = s.withDefaults()
-	if len(ks) == 0 {
-		ks = DefaultKWayKs()
-	}
-	cfgs, hs, err := s.circuits()
-	if err != nil {
-		return nil, err
-	}
-	rep := &KWayReport{
-		Name:       name,
-		CreatedAt:  time.Now().UTC(),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Suite: SuiteConfig{
-			Scale:       s.Scale,
-			Seed:        s.Seed,
-			Parallelism: s.Parallelism,
-		},
-		Ks:  ks,
-		Eps: eps,
-	}
-	t0 := time.Now()
-	for i, h := range hs {
-		cr := KWayCircuitReport{
-			Name:    cfgs[i].Name,
-			Modules: h.NumModules(),
-			Nets:    h.NumNets(),
+// kwayRuns runs both engines at every k the circuit has modules for.
+func (s Suite) kwayRuns(h *hypergraph.Hypergraph, rec obs.Recorder) ([]AlgRun, error) {
+	var steps []step
+	for _, k := range kwayKs {
+		if h.NumModules() < k {
+			continue
 		}
-		for _, k := range ks {
-			if h.NumModules() < k {
-				continue
-			}
-			for _, engine := range []string{EngineRecursive, EngineSpectral} {
-				opts := multiway.Options{
-					K: k, Eps: eps, Spectral: engine == EngineSpectral,
-					Core: core.Options{
-						Eigen:       s.eigenOpts(),
-						Parallelism: s.Parallelism,
-						Rec:         s.Rec,
-					},
-				}
-				start := time.Now()
-				res, err := multiway.Partition(h, opts)
-				if err != nil {
-					return nil, fmt.Errorf("bench: kway %s k=%d on %s: %w", engine, k, cr.Name, err)
-				}
-				cr.Runs = append(cr.Runs, KWayRun{
-					K: k, Engine: engine, Eps: eps, Cap: res.Cap,
+		for _, engine := range []string{EngineRecursive, EngineSpectral} {
+			steps = append(steps, step{kwayAlg(engine, k), func(sp obs.Recorder) (AlgRun, error) {
+				res, err := multiway.Partition(h, multiway.Options{
+					K: k, Eps: kwayEps, Spectral: engine == EngineSpectral,
+					Core: core.Options{Eigen: s.eigenOpts(), Parallelism: s.Parallelism, Rec: sp},
+				})
+				return AlgRun{RatioCut: res.RatioValue, KWay: &KWayCell{
+					K: k, Eps: kwayEps, Cap: res.Cap,
 					SpanningNets: res.SpanningNets,
 					Connectivity: res.Connectivity,
-					RatioValue:   res.RatioValue,
 					Sizes:        res.PartSizesSorted(),
-					WallNS:       int64(time.Since(start)),
-				})
-			}
-		}
-		rep.Circuits = append(rep.Circuits, cr)
-	}
-	rep.TotalNS = int64(time.Since(t0))
-	return rep, nil
-}
-
-// WriteFile writes the report as <dir>/BENCH_<name>.json (creating the
-// directory if missing) and returns the path written.
-func (r *KWayReport) WriteFile(dir string) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("bench: creating report dir: %w", err)
-	}
-	raw, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("bench: encoding kway report: %w", err)
-	}
-	path := filepath.Join(dir, "BENCH_"+r.Name+".json")
-	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-		return "", err
-	}
-	return path, nil
-}
-
-// ReadKWayReportFile loads a k-way BENCH_<name>.json report from disk.
-func ReadKWayReportFile(path string) (*KWayReport, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("bench: reading kway baseline: %w", err)
-	}
-	var r KWayReport
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return nil, fmt.Errorf("bench: decoding %s: %w", path, err)
-	}
-	return &r, nil
-}
-
-// CompareKWayReports diffs cur against a checked-in baseline under a
-// relative tolerance on the spanning-net count (the primary k-way cut
-// metric): a (circuit, k, engine) cell regresses when its current count
-// exceeds baseline·(1+tol), and cells the baseline covers but the
-// current report dropped also count. Wall times are machine-dependent
-// and deliberately not compared. Empty means the gate passes.
-func CompareKWayReports(baseline, cur *KWayReport, tol float64) []string {
-	type cell struct {
-		name, engine string
-		k            int
-	}
-	current := make(map[cell]KWayRun)
-	for _, c := range cur.Circuits {
-		for _, run := range c.Runs {
-			current[cell{c.Name, run.Engine, run.K}] = run
+				}}, err
+			}})
 		}
 	}
-	var regressions []string
-	for _, c := range baseline.Circuits {
-		for _, base := range c.Runs {
-			now, ok := current[cell{c.Name, base.Engine, base.K}]
-			if !ok {
-				regressions = append(regressions,
-					fmt.Sprintf("%s/%s/k=%d: present in baseline but missing from current report", c.Name, base.Engine, base.K))
-				continue
-			}
-			limit := float64(base.SpanningNets) * (1 + tol)
-			if float64(now.SpanningNets) > limit {
-				regressions = append(regressions,
-					fmt.Sprintf("%s/%s/k=%d: spanning nets %d exceed baseline %d by more than %.0f%% (limit %.6g)",
-						c.Name, base.Engine, base.K, now.SpanningNets, base.SpanningNets, tol*100, limit))
-			}
-		}
-	}
-	return regressions
+	return runSteps(rec, steps)
 }
 
-// FormatKWayTable renders the report as the markdown table EXPERIMENTS.md
-// embeds: one row per circuit × k, both engines side by side.
-func FormatKWayTable(r *KWayReport) string {
+// FormatKWayTable renders a k-way report as the markdown table
+// EXPERIMENTS.md embeds: one row per circuit × k, both engines side by
+// side.
+func FormatKWayTable(r *Report) string {
 	out := "| circuit | k | recursive spans | recursive λ−1 | spectral spans | spectral λ−1 |\n"
 	out += "|---|---|---|---|---|---|\n"
 	for _, c := range r.Circuits {
-		byK := make(map[int]map[string]KWayRun)
+		cells := make(map[string]*KWayCell)
 		for _, run := range c.Runs {
-			if byK[run.K] == nil {
-				byK[run.K] = make(map[string]KWayRun)
-			}
-			byK[run.K][run.Engine] = run
+			cells[run.Alg] = run.KWay
 		}
-		for _, k := range r.Ks {
-			runs, ok := byK[k]
-			if !ok {
+		for _, k := range kwayKs {
+			rec, spec := cells[kwayAlg(EngineRecursive, k)], cells[kwayAlg(EngineSpectral, k)]
+			if rec == nil || spec == nil {
 				continue
 			}
-			rec, spec := runs[EngineRecursive], runs[EngineSpectral]
 			out += fmt.Sprintf("| %s | %d | %d | %d | %d | %d |\n",
 				c.Name, k, rec.SpanningNets, rec.Connectivity, spec.SpanningNets, spec.Connectivity)
 		}

@@ -2,23 +2,20 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"igpart/internal/core"
-	"igpart/internal/eigen"
-	"igpart/internal/netgen"
+	"igpart/internal/hypergraph"
 	"igpart/internal/obs"
 	"igpart/internal/portfolio"
 )
 
-// This file is the portfolio/ECO harness behind results/BENCH_portfolio.json:
+// This file is the portfolio/ECO workload behind results/BENCH_portfolio.json:
 // one circuit, four rows. The first pair races the adaptive portfolio
-// against a fixed IG-Match solve (same seed, Accept=0 so the winner is
-// the deterministic best-of-lineup, not a timing race); the second pair
-// re-partitions after a small ECO delta warm (WarmStart from the cached
-// net ordering) and cold (full IG-Match on the edited netlist), which is
-// the incremental-ECO speedup claim in measurable form.
+// against a fixed IG-Match solve (same seed, no deadline and Accept=0 so
+// the winner is the deterministic best-of-lineup, not a timing race); the
+// second pair re-partitions after a small ECO delta warm (WarmStart from
+// the cached net ordering) and cold (full IG-Match on the edited
+// netlist), which is the incremental-ECO speedup claim in measurable form.
 
 // Portfolio-report row names.
 const (
@@ -28,181 +25,46 @@ const (
 	AlgECOCold        = "ECO/cold"
 )
 
-// Portfolio acceptance gate: the warm ECO re-partition must be at least
-// PortfolioWarmSpeedup× faster than the cold re-solve with a ratio cut
-// within PortfolioRatioTol, the delta must stay at or under
-// PortfolioMaxDeltaFrac of the nets (the claim is about small ECOs),
-// and the portfolio winner must not lose to fixed IG-Match by more than
-// PortfolioRatioTol.
-const (
-	PortfolioWarmSpeedup  = 3.0
-	PortfolioRatioTol     = 0.10
-	PortfolioMaxDeltaFrac = 0.05
-)
-
-// PortfolioConfig configures one portfolio-report run.
-type PortfolioConfig struct {
-	// Preset names the netgen benchmark (default "scale10k" — large
-	// enough that the warm/cold wall-time ratio is signal, small enough
-	// for a CI gate).
-	Preset string
-	// DeltaNets is how many nets the ECO delta removes (0 = 1% of the
-	// circuit, floor 5).
-	DeltaNets int
-	// Budget bounds the portfolio race (0 = no deadline; every
-	// contender finishes and the best wins deterministically).
-	Budget time.Duration
-	// Parallelism bounds sweep shards (0 = GOMAXPROCS).
-	Parallelism int
-	// Seed offsets the preset's generator seed and seeds the solvers.
-	Seed int64
-}
-
-func (c PortfolioConfig) withDefaults() PortfolioConfig {
-	if c.Preset == "" {
-		c.Preset = "scale10k"
-	}
-	return c
-}
-
-// PortfolioReport generates the preset circuit and measures the four
-// rows: portfolio race, fixed IG-Match, warm ECO re-partition, cold ECO
-// re-solve. The ECO rows run on the delta'd netlist (the last
-// cfg.DeltaNets nets removed), so their ratio cuts are directly
-// comparable to each other but not to the first pair.
-func PortfolioReport(name string, cfg PortfolioConfig) (*RunReport, error) {
-	cfg = cfg.withDefaults()
-	gen, ok := netgen.ByName(cfg.Preset)
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown preset %q", cfg.Preset)
-	}
-	gen.Seed += cfg.Seed
-	h, err := netgen.Generate(gen)
-	if err != nil {
-		return nil, fmt.Errorf("bench: generating %s: %w", gen.Name, err)
-	}
-
-	touched := cfg.DeltaNets
-	if touched <= 0 {
-		touched = h.NumNets() / 100
-		if touched < 5 {
-			touched = 5
-		}
-	}
+// portfolioRuns measures the four rows on h: portfolio race, fixed
+// IG-Match, warm ECO re-partition, cold ECO re-solve. The ECO rows run on
+// h with its last 1% of nets (at least 5) removed, so their ratio cuts are
+// directly comparable to each other but not to the first pair.
+func (s Suite) portfolioRuns(h *hypergraph.Hypergraph, rec obs.Recorder) ([]AlgRun, error) {
+	touched := max(h.NumNets()/100, 5)
 	delta := portfolio.Delta{RemoveNets: make([]int, touched)}
 	for i := range delta.RemoveNets {
 		delta.RemoveNets[i] = h.NumNets() - touched + i
 	}
-
-	tr := obs.NewTrace("bench:" + name)
-	rep := &RunReport{
-		Name:       name,
-		CreatedAt:  time.Now().UTC(),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Suite: SuiteConfig{
-			Scale:       1.0,
-			Seed:        cfg.Seed,
-			Parallelism: cfg.Parallelism,
-		},
-		Algorithms: []string{AlgPortfolioRace, AlgPortfolioFixed, AlgECOWarm, AlgECOCold},
-	}
-	cr := CircuitReport{
-		Name:    gen.Name,
-		Modules: h.NumModules(),
-		Nets:    h.NumNets(),
-		Pins:    h.NumPins(),
-	}
-	csp := tr.StartSpan(gen.Name)
-
-	// Row 1: the adaptive portfolio, Accept=0 (deterministic winner).
-	sp := csp.StartSpan(AlgPortfolioRace)
-	t0 := time.Now()
-	race, err := portfolio.Race(h, portfolio.Options{
-		Budget:      cfg.Budget,
-		Parallelism: cfg.Parallelism,
-		Seed:        cfg.Seed,
-		Rec:         sp,
-	})
-	wall := time.Since(t0)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("bench: portfolio race on %s: %w", gen.Name, err)
-	}
-	cr.Runs = append(cr.Runs, AlgRun{
-		Alg: AlgPortfolioRace, Metrics: race.Metrics,
-		WallNS: int64(wall), RatioCut: race.Metrics.RatioCut,
-	})
-	tr.Metrics().Gauge("portfolio.report.winner_is_igmatch").Set(b2f(race.Winner == portfolio.AlgIGMatch))
-
-	// Row 2: fixed IG-Match on the same circuit and seed. Its result is
-	// also the warm-start base for the ECO rows.
-	sp = csp.StartSpan(AlgPortfolioFixed)
-	t0 = time.Now()
-	base, err := core.Partition(h, core.Options{
-		Parallelism: cfg.Parallelism,
-		Eigen:       eigen.Options{Seed: cfg.Seed},
-		Rec:         sp,
-	})
-	wall = time.Since(t0)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("bench: fixed IG-Match on %s: %w", gen.Name, err)
-	}
-	cr.Runs = append(cr.Runs, AlgRun{
-		Alg: AlgPortfolioFixed, Metrics: base.Metrics,
-		WallNS: int64(wall), RatioCut: base.Metrics.RatioCut,
-	})
-
-	// Row 3: warm ECO re-partition from the base ordering.
-	sp = csp.StartSpan(AlgECOWarm)
-	t0 = time.Now()
-	warm, err := portfolio.WarmStart(h, base.NetOrder, base.BestRank, delta, portfolio.WarmOptions{
-		Core: core.Options{
-			Parallelism: cfg.Parallelism,
-			Eigen:       eigen.Options{Seed: cfg.Seed},
-			Rec:         sp,
-		},
-	})
-	wall = time.Since(t0)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("bench: warm ECO on %s: %w", gen.Name, err)
-	}
-	if warm.Cold {
-		return nil, fmt.Errorf("bench: %d-net delta on %s fell back to a cold solve", touched, gen.Name)
-	}
-	cr.Runs = append(cr.Runs, AlgRun{
-		Alg: AlgECOWarm, Metrics: warm.Metrics,
-		WallNS: int64(wall), RatioCut: warm.Metrics.RatioCut,
-	})
-
-	// Row 4: cold re-solve of the same edited netlist.
 	edited, _ := delta.Apply(h)
-	sp = csp.StartSpan(AlgECOCold)
-	t0 = time.Now()
-	cold, err := core.Partition(edited, core.Options{
-		Parallelism: cfg.Parallelism,
-		Eigen:       eigen.Options{Seed: cfg.Seed},
-		Rec:         sp,
-	})
-	wall = time.Since(t0)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("bench: cold ECO re-solve on %s: %w", gen.Name, err)
+	eo := s.eigenOpts()
+	eo.Seed = s.Seed
+	opts := func(sp obs.Recorder) core.Options {
+		return core.Options{Parallelism: s.Parallelism, Eigen: eo, Rec: sp}
 	}
-	cr.Runs = append(cr.Runs, AlgRun{
-		Alg: AlgECOCold, Metrics: cold.Metrics,
-		WallNS: int64(wall), RatioCut: cold.Metrics.RatioCut,
+	var base core.Result // the fixed row, warm-start base for the ECO rows
+	return runSteps(rec, []step{
+		{AlgPortfolioRace, func(sp obs.Recorder) (AlgRun, error) {
+			race, err := portfolio.Race(h, portfolio.Options{Parallelism: s.Parallelism, Seed: s.Seed, Rec: sp})
+			sp.Metrics().Gauge("portfolio.report.winner_is_igmatch").Set(b2f(race.Winner == portfolio.AlgIGMatch))
+			return bipartition(race.Metrics, err)
+		}},
+		{AlgPortfolioFixed, func(sp obs.Recorder) (AlgRun, error) {
+			var err error
+			base, err = core.Partition(h, opts(sp))
+			return bipartition(base.Metrics, err)
+		}},
+		{AlgECOWarm, func(sp obs.Recorder) (AlgRun, error) {
+			warm, err := portfolio.WarmStart(h, base.NetOrder, base.BestRank, delta, portfolio.WarmOptions{Core: opts(sp)})
+			if err == nil && warm.Cold {
+				err = fmt.Errorf("%d-net delta fell back to a cold solve", touched)
+			}
+			return bipartition(warm.Metrics, err)
+		}},
+		{AlgECOCold, func(sp obs.Recorder) (AlgRun, error) {
+			cold, err := core.Partition(edited, opts(sp))
+			return bipartition(cold.Metrics, err)
+		}},
 	})
-	csp.End()
-
-	rep.Circuits = []CircuitReport{cr}
-	root := tr.Finish()
-	rep.Circuits[0].Stages = root.Children[0]
-	rep.Metrics = tr.Metrics().Snapshot()
-	rep.TotalNS = root.DurationNS
-	return rep, nil
 }
 
 func b2f(b bool) float64 {
@@ -210,64 +72,4 @@ func b2f(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-// findPortfolioRuns locates the four portfolio/ECO rows in a report.
-func findPortfolioRuns(r *RunReport) (circuit *CircuitReport, runs map[string]*AlgRun) {
-	for i := range r.Circuits {
-		c := &r.Circuits[i]
-		m := make(map[string]*AlgRun)
-		for j := range c.Runs {
-			switch c.Runs[j].Alg {
-			case AlgPortfolioRace, AlgPortfolioFixed, AlgECOWarm, AlgECOCold:
-				m[c.Runs[j].Alg] = &c.Runs[j]
-			}
-		}
-		if len(m) == 4 {
-			return c, m
-		}
-	}
-	return nil, nil
-}
-
-// VerifyPortfolioReport checks a portfolio report against the
-// acceptance gate: the warm ECO re-partition at least
-// PortfolioWarmSpeedup× faster than the cold re-solve with ratio cuts
-// within PortfolioRatioTol, the warm-start counter proving the warm
-// path actually ran, and the portfolio race no worse than fixed
-// IG-Match beyond the same tolerance. The returned slice lists every
-// violation; empty means the gate passes.
-func VerifyPortfolioReport(r *RunReport) []string {
-	var violations []string
-	c, runs := findPortfolioRuns(r)
-	if c == nil {
-		return []string{fmt.Sprintf("no circuit carries all of %s, %s, %s, %s",
-			AlgPortfolioRace, AlgPortfolioFixed, AlgECOWarm, AlgECOCold)}
-	}
-	warm, cold := runs[AlgECOWarm], runs[AlgECOCold]
-	if warm.WallNS <= 0 || cold.WallNS <= 0 {
-		violations = append(violations,
-			fmt.Sprintf("%s: non-positive ECO wall times (warm %dns, cold %dns)", c.Name, warm.WallNS, cold.WallNS))
-	} else if speedup := float64(cold.WallNS) / float64(warm.WallNS); speedup < PortfolioWarmSpeedup {
-		violations = append(violations,
-			fmt.Sprintf("%s: warm ECO speedup %.2f× is below the %.1f× floor (warm %s, cold %s)",
-				c.Name, speedup, PortfolioWarmSpeedup,
-				time.Duration(warm.WallNS), time.Duration(cold.WallNS)))
-	}
-	if hi, lo := warm.RatioCut, cold.RatioCut; hi > lo*(1+PortfolioRatioTol) || lo > hi*(1+PortfolioRatioTol) {
-		violations = append(violations,
-			fmt.Sprintf("%s: ECO ratio cuts diverge beyond %.0f%%: warm %.6g vs cold %.6g",
-				c.Name, PortfolioRatioTol*100, warm.RatioCut, cold.RatioCut))
-	}
-	if r.Metrics.Counters["portfolio.warm_start"] == 0 {
-		violations = append(violations,
-			"portfolio.warm_start = 0: the ECO row never took the warm path, so the speedup claim is vacuous")
-	}
-	race, fixed := runs[AlgPortfolioRace], runs[AlgPortfolioFixed]
-	if race.RatioCut > fixed.RatioCut*(1+PortfolioRatioTol) {
-		violations = append(violations,
-			fmt.Sprintf("%s: portfolio ratio cut %.6g loses to fixed IG-Match %.6g beyond %.0f%%",
-				c.Name, race.RatioCut, fixed.RatioCut, PortfolioRatioTol*100))
-	}
-	return violations
 }

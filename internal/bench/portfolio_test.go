@@ -1,76 +1,23 @@
 package bench
 
-import (
-	"strings"
-	"testing"
+import "testing"
 
-	"igpart/internal/obs"
-)
-
-// syntheticPortfolio fabricates a report shaped like
-// results/BENCH_portfolio.json.
-func syntheticPortfolio(raceRatio, fixedRatio float64, warmNS, coldNS int64, warmRatio, coldRatio float64, warmStarts int64) *RunReport {
-	return &RunReport{
-		Name: "portfolio",
-		Circuits: []CircuitReport{{
-			Name: "scale10k",
-			Nets: 10_000,
-			Runs: []AlgRun{
-				{Alg: AlgPortfolioRace, WallNS: 3e9, RatioCut: raceRatio},
-				{Alg: AlgPortfolioFixed, WallNS: 9e9, RatioCut: fixedRatio},
-				{Alg: AlgECOWarm, WallNS: warmNS, RatioCut: warmRatio},
-				{Alg: AlgECOCold, WallNS: coldNS, RatioCut: coldRatio},
-			},
-		}},
-		Metrics: obs.MetricsSnapshot{Counters: map[string]int64{"portfolio.warm_start": warmStarts}},
-	}
-}
-
-func TestVerifyPortfolioReportGate(t *testing.T) {
-	ok := syntheticPortfolio(2e-5, 2e-5, 1e9, 4e9, 2.00e-5, 2.01e-5, 1)
-	if v := VerifyPortfolioReport(ok); len(v) != 0 {
-		t.Fatalf("clean report flagged: %v", v)
-	}
-
-	cases := []struct {
-		name string
-		r    *RunReport
-		want string
-	}{
-		{"warm-too-slow", syntheticPortfolio(2e-5, 2e-5, 2e9, 4e9, 2e-5, 2e-5, 1), "speedup"},
-		{"eco-ratio-drift", syntheticPortfolio(2e-5, 2e-5, 1e9, 4e9, 2.3e-5, 2.0e-5, 1), "ratio cuts diverge"},
-		{"no-warm-starts", syntheticPortfolio(2e-5, 2e-5, 1e9, 4e9, 2e-5, 2e-5, 0), "warm_start"},
-		{"race-loses", syntheticPortfolio(2.3e-5, 2.0e-5, 1e9, 4e9, 2e-5, 2e-5, 1), "loses to fixed"},
-		{"missing-runs", &RunReport{Name: "portfolio"}, "no circuit"},
-	}
-	for _, tc := range cases {
-		v := VerifyPortfolioReport(tc.r)
-		found := false
-		for _, msg := range v {
-			if strings.Contains(msg, tc.want) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%s: violations %v do not mention %q", tc.name, v, tc.want)
-		}
-	}
-}
-
-// TestPortfolioReportSmoke runs the real pipeline on a small preset:
-// all four rows complete, the ECO delta warm-starts, and the warm-start
-// counter lands in the report's metrics snapshot (the 3x speedup gate
-// itself is only meaningful at the checked-in report's scale).
+// TestPortfolioReportSmoke runs the real portfolio workload on a small
+// preset: all four rows complete, the ECO delta warm-starts, and the
+// warm-start counter lands in the report's metrics snapshot (the 3x
+// speedup claim itself is only meaningful at the checked-in report's
+// scale).
 func TestPortfolioReportSmoke(t *testing.T) {
-	rep, err := PortfolioReport("portfolio-smoke", PortfolioConfig{Preset: "Prim1", DeltaNets: 5})
+	rep, err := Suite{Preset: "Prim1"}.Report("portfolio-smoke", WorkloadPortfolio)
 	if err != nil {
-		t.Fatalf("PortfolioReport: %v", err)
+		t.Fatalf("Report: %v", err)
 	}
-	c, runs := findPortfolioRuns(rep)
+	algs := []string{AlgPortfolioRace, AlgPortfolioFixed, AlgECOWarm, AlgECOCold}
+	c, runs := findRuns(rep, algs)
 	if c == nil {
 		t.Fatal("report lacks the four portfolio/ECO rows")
 	}
-	for _, alg := range []string{AlgPortfolioRace, AlgPortfolioFixed, AlgECOWarm, AlgECOCold} {
+	for _, alg := range algs {
 		run := runs[alg]
 		if run.WallNS <= 0 {
 			t.Errorf("%s: wall time not recorded", alg)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -8,19 +9,37 @@ import (
 	"runtime"
 	"time"
 
+	"igpart/internal/hypergraph"
+	"igpart/internal/netgen"
 	"igpart/internal/obs"
 	"igpart/internal/partition"
 )
 
 // This file produces the machine-readable run report behind
-// results/BENCH_<name>.json: every algorithm of interest run over the
-// whole benchmark suite with full stage tracing, so the perf trajectory
-// of the pipeline (and each of its stages) can be tracked across
-// commits by diffing reports instead of eyeballing table text.
+// results/BENCH_<name>.json. Every workload emits the same record: one
+// run per (circuit, algorithm) cell with its quality and wall time, a
+// stage span subtree per circuit, and the trace's metrics snapshot, so
+// the perf trajectory of the pipeline (and each of its stages) can be
+// tracked across commits by diffing reports, and one Gate holds them all.
 
-// DefaultReportAlgs is the algorithm set a run report covers unless the
-// caller narrows it: the paper's comparison column plus IG-Match itself
-// and its multilevel V-cycle variant.
+// The report workloads Suite.Report produces.
+const (
+	// WorkloadSuite runs DefaultReportAlgs over the benchmark suite.
+	WorkloadSuite = "suite"
+	// WorkloadKWay runs both balanced k-way engines at k ∈ {2, 4, 8} over
+	// the benchmark suite.
+	WorkloadKWay = "kway"
+	// WorkloadScale partitions the scale100k preset with the candidate
+	// sweep under selective and full reorthogonalization.
+	WorkloadScale = "scale"
+	// WorkloadPortfolio races the portfolio against fixed IG-Match on the
+	// scale10k preset, then re-partitions a small ECO delta warm and cold.
+	WorkloadPortfolio = "portfolio"
+)
+
+// DefaultReportAlgs is the algorithm set of the suite workload: the
+// paper's comparison column plus IG-Match itself and its multilevel
+// V-cycle variant.
 func DefaultReportAlgs() []string {
 	return []string{AlgIGMatch, AlgMultilevel, AlgIGVote, AlgEIG1, AlgRCut, AlgIGDiam}
 }
@@ -34,18 +53,32 @@ type SuiteConfig struct {
 	Levels      int     `json:"levels,omitempty"`
 }
 
-// AlgRun is one algorithm's outcome on one circuit.
+// AlgRun is one cell of a report: one algorithm's outcome on one
+// circuit. Bipartitioning runs carry Metrics; a k-way cell, named
+// <engine>/k=<k>, carries KWay instead, with its multiway ratio value
+// in RatioCut.
 type AlgRun struct {
-	Alg      string            `json:"alg"`
-	Metrics  partition.Metrics `json:"metrics"`
-	WallNS   int64             `json:"wall_ns"`
-	RatioCut float64           `json:"ratio_cut"` // duplicated for flat queries
+	Alg      string             `json:"alg"`
+	Metrics  *partition.Metrics `json:"metrics,omitempty"`
+	WallNS   int64              `json:"wall_ns"`
+	RatioCut float64            `json:"ratio_cut"`
+	KWay     *KWayCell          `json:"kway,omitempty"`
 }
 
-// CircuitReport is one benchmark circuit's slice of a run report. Stages
-// holds the circuit's stage span subtree: one child per algorithm, and
-// under the IG-Match child the full pipeline breakdown (ig-build,
-// laplacian, eigensolve cycles, sweep shards).
+// KWayCell is the k-way block of a balanced k-way run.
+type KWayCell struct {
+	K            int     `json:"k"`
+	Eps          float64 `json:"eps"`
+	Cap          int     `json:"cap"`
+	SpanningNets int     `json:"spanning_nets"`
+	Connectivity int     `json:"connectivity"`
+	Sizes        []int   `json:"sizes"`
+}
+
+// CircuitReport is one circuit's slice of a run report. Stages holds the
+// circuit's stage span subtree: one child per run, and under each
+// IG-Match child the full pipeline breakdown (ig-build, laplacian,
+// eigensolve cycles, sweep shards).
 type CircuitReport struct {
 	Name    string    `json:"name"`
 	Modules int       `json:"modules"`
@@ -55,9 +88,10 @@ type CircuitReport struct {
 	Stages  obs.Stage `json:"stages"`
 }
 
-// RunReport is the top-level BENCH_<name>.json document.
-type RunReport struct {
+// Report is the top-level BENCH_<name>.json document.
+type Report struct {
 	Name       string              `json:"name"`
+	Workload   string              `json:"workload"`
 	CreatedAt  time.Time           `json:"created_at"`
 	GoVersion  string              `json:"go_version"`
 	GOMAXPROCS int                 `json:"gomaxprocs"`
@@ -68,21 +102,43 @@ type RunReport struct {
 	TotalNS    int64               `json:"total_ns"`
 }
 
-// Report runs each named algorithm (DefaultReportAlgs when algs is nil)
-// on every circuit of the benchmark suite under a fresh Trace and
-// assembles the run report with per-stage breakdowns.
-func (s Suite) Report(name string, algs []string) (*RunReport, error) {
+// Report runs one workload (WorkloadSuite, WorkloadKWay, WorkloadScale
+// or WorkloadPortfolio) under a fresh Trace and assembles its report.
+func (s Suite) Report(name, workload string) (*Report, error) {
 	s = s.withDefaults()
-	if len(algs) == 0 {
-		algs = DefaultReportAlgs()
+	var runs func(h *hypergraph.Hypergraph, rec obs.Recorder) ([]AlgRun, error) // one circuit's cells
+	preset := ""
+	switch workload {
+	case WorkloadSuite:
+		runs = s.suiteRuns
+	case WorkloadKWay:
+		runs = s.kwayRuns
+	case WorkloadScale:
+		runs, preset = s.scaleRuns, "scale100k"
+	case WorkloadPortfolio:
+		runs, preset = s.portfolioRuns, "scale10k"
+	default:
+		return nil, fmt.Errorf("bench: unknown workload %q", workload)
 	}
-	cfgs, hs, err := s.circuits()
+	cfgs := netgen.Benchmarks
+	if preset != "" {
+		if s.Preset != "" {
+			preset = s.Preset
+		}
+		gen, ok := netgen.ByName(preset)
+		if !ok {
+			return nil, fmt.Errorf("bench: unknown preset %q", preset)
+		}
+		cfgs = []netgen.Config{gen}
+	}
+	cfgs, hs, err := s.generate(cfgs)
 	if err != nil {
 		return nil, err
 	}
 	tr := obs.NewTrace("bench:" + name)
-	rep := &RunReport{
+	rep := &Report{
 		Name:       name,
+		Workload:   workload,
 		CreatedAt:  time.Now().UTC(),
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -93,32 +149,28 @@ func (s Suite) Report(name string, algs []string) (*RunReport, error) {
 			Parallelism: s.Parallelism,
 			Levels:      s.Levels,
 		},
-		Algorithms: algs,
 	}
+	seen := make(map[string]bool)
 	for i, h := range hs {
 		csp := tr.StartSpan(cfgs[i].Name)
-		cr := CircuitReport{
+		cells, err := runs(h, csp)
+		csp.End()
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s report on %s: %w", workload, cfgs[i].Name, err)
+		}
+		for _, run := range cells {
+			if !seen[run.Alg] {
+				seen[run.Alg] = true
+				rep.Algorithms = append(rep.Algorithms, run.Alg)
+			}
+		}
+		rep.Circuits = append(rep.Circuits, CircuitReport{
 			Name:    cfgs[i].Name,
 			Modules: h.NumModules(),
 			Nets:    h.NumNets(),
 			Pins:    h.NumPins(),
-		}
-		traced := s
-		traced.Rec = csp
-		for _, alg := range algs {
-			met, wall, err := traced.Run(alg, h)
-			if err != nil {
-				return nil, fmt.Errorf("bench: report %s on %s: %w", alg, cr.Name, err)
-			}
-			cr.Runs = append(cr.Runs, AlgRun{
-				Alg:      alg,
-				Metrics:  met,
-				WallNS:   int64(wall),
-				RatioCut: met.RatioCut,
-			})
-		}
-		csp.End()
-		rep.Circuits = append(rep.Circuits, cr)
+			Runs:    cells,
+		})
 	}
 	root := tr.Finish()
 	for i := range rep.Circuits {
@@ -129,10 +181,54 @@ func (s Suite) Report(name string, algs []string) (*RunReport, error) {
 	return rep, nil
 }
 
+// suiteRuns runs every DefaultReportAlgs algorithm on h.
+func (s Suite) suiteRuns(h *hypergraph.Hypergraph, rec obs.Recorder) ([]AlgRun, error) {
+	s.Rec = rec
+	var runs []AlgRun
+	for _, alg := range DefaultReportAlgs() {
+		met, wall, err := s.Run(alg, h)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", alg, err)
+		}
+		runs = append(runs, AlgRun{Alg: alg, Metrics: &met, WallNS: int64(wall), RatioCut: met.RatioCut})
+	}
+	return runs, nil
+}
+
+// step is one timed cell of a workload; run fills everything but the
+// cell's name and wall time.
+type step struct {
+	alg string
+	run func(sp obs.Recorder) (AlgRun, error)
+}
+
+// runSteps executes steps in order, each under its own child span of rec.
+func runSteps(rec obs.Recorder, steps []step) ([]AlgRun, error) {
+	runs := make([]AlgRun, 0, len(steps))
+	for _, st := range steps {
+		sp := rec.StartSpan(st.alg)
+		t0 := time.Now()
+		run, err := st.run(sp)
+		wall := time.Since(t0)
+		sp.End()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", st.alg, err)
+		}
+		run.Alg, run.WallNS = st.alg, int64(wall)
+		runs = append(runs, run)
+	}
+	return runs, nil
+}
+
+// bipartition is the cell of a bipartitioning run.
+func bipartition(m partition.Metrics, err error) (AlgRun, error) {
+	return AlgRun{Metrics: &m, RatioCut: m.RatioCut}, err
+}
+
 // WriteFile writes the report as <dir>/BENCH_<name>.json, creating the
 // directory (and any parents) if missing — a fresh checkout or a wiped
 // results/ must never fail the first write. It returns the path written.
-func (r *RunReport) WriteFile(dir string) (string, error) {
+func (r *Report) WriteFile(dir string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("bench: creating report dir: %w", err)
 	}
@@ -147,49 +243,19 @@ func (r *RunReport) WriteFile(dir string) (string, error) {
 	return path, nil
 }
 
-// ReadReportFile loads a BENCH_<name>.json report from disk.
-func ReadReportFile(path string) (*RunReport, error) {
+// ReadReportFile loads a BENCH_<name>.json report from disk. Decoding is
+// strict: an unknown key fails rather than leaving its field zero, where
+// a gate would silently skip it.
+func ReadReportFile(path string) (*Report, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("bench: reading baseline report: %w", err)
+		return nil, fmt.Errorf("bench: reading report: %w", err)
 	}
-	var r RunReport
-	if err := json.Unmarshal(raw, &r); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	var r Report
+	if err := dec.Decode(&r); err != nil {
 		return nil, fmt.Errorf("bench: decoding %s: %w", path, err)
 	}
 	return &r, nil
-}
-
-// CompareReports diffs cur against a checked-in baseline under a relative
-// tolerance on the ratio cut: a (circuit, algorithm) cell regresses when
-// its current ratio cut exceeds baseline·(1+tol). Cells the baseline
-// covers but the current report dropped also count as regressions
-// (coverage loss must be deliberate, via a new baseline). Wall times are
-// machine-dependent and deliberately not compared. The returned slice
-// describes each regression; empty means the gate passes.
-func CompareReports(baseline, cur *RunReport, tol float64) []string {
-	current := make(map[[2]string]AlgRun)
-	for _, c := range cur.Circuits {
-		for _, run := range c.Runs {
-			current[[2]string{c.Name, run.Alg}] = run
-		}
-	}
-	var regressions []string
-	for _, c := range baseline.Circuits {
-		for _, base := range c.Runs {
-			now, ok := current[[2]string{c.Name, base.Alg}]
-			if !ok {
-				regressions = append(regressions,
-					fmt.Sprintf("%s/%s: present in baseline but missing from current report", c.Name, base.Alg))
-				continue
-			}
-			limit := base.RatioCut * (1 + tol)
-			if now.RatioCut > limit {
-				regressions = append(regressions,
-					fmt.Sprintf("%s/%s: ratio cut %.6g exceeds baseline %.6g by more than %.0f%% (limit %.6g)",
-						c.Name, base.Alg, now.RatioCut, base.RatioCut, tol*100, limit))
-			}
-		}
-	}
-	return regressions
 }

@@ -1,21 +1,16 @@
 package bench
 
 import (
-	"fmt"
-	"runtime"
-	"time"
-
 	"igpart/internal/core"
 	"igpart/internal/eigen"
-	"igpart/internal/netgen"
+	"igpart/internal/hypergraph"
 	"igpart/internal/obs"
 )
 
-// This file is the million-net-scale harness: it runs the candidate-split
-// IG-Match pipeline (core.PartitionCandidates) on the large synthetic
-// presets under both reorthogonalization modes and emits the same
-// RunReport JSON as the small-circuit reports, so results/BENCH_scale.json
-// can be diffed, budgeted, and gated exactly like BENCH_baseline.json.
+// This file is the million-net-scale workload behind
+// results/BENCH_scale.json: the candidate-split IG-Match pipeline
+// (core.PartitionCandidates) on a large synthetic preset under both
+// reorthogonalization modes.
 
 // Scale-run algorithm names. The slash suffix distinguishes the reorth
 // mode; both runs share the ordering-quality contract (equal ratio cut)
@@ -25,196 +20,20 @@ const (
 	AlgScaleFull      = "IG-Scale/full"
 )
 
-// Scale acceptance gate, from the reproduction roadmap: on a circuit of
-// at least ScaleMinNets nets, selective reorthogonalization must be at
-// least ScaleMinSpeedup× faster end to end than full reorthogonalization
-// while landing within ScaleRatioTol of its ratio cut.
-const (
-	ScaleMinNets    = 100_000
-	ScaleMinSpeedup = 3.0
-	ScaleRatioTol   = 0.01
-)
-
-// ScaleConfig configures one scale-report run.
-type ScaleConfig struct {
-	// Preset names the netgen benchmark to run (a ScaleBenchmarks entry;
-	// any named benchmark works for smoke runs). Default "scale100k".
-	Preset string
-	// Candidates is the number of completed splits the candidate sweep
-	// evaluates. 0 uses core.DefaultCandidates.
-	Candidates int
-	// Parallelism bounds candidate-shard workers (0 = GOMAXPROCS).
-	Parallelism int
-	// MatvecWorkers is threaded to eigen.Options.MatvecWorkers
-	// (0 = auto: parallel above the size floor).
-	MatvecWorkers int
-	// Seed offsets the preset's generator seed.
-	Seed int64
-}
-
-func (c ScaleConfig) withDefaults() ScaleConfig {
-	if c.Preset == "" {
-		c.Preset = "scale100k"
-	}
-	if c.Candidates <= 0 {
-		c.Candidates = core.DefaultCandidates
-	}
-	return c
-}
-
-// ScaleReport generates the preset circuit once and partitions it twice —
-// selective then full reorthogonalization — recording wall times, ratio
-// cuts, and the eigensolver's reorth/matvec counters into a RunReport.
-func ScaleReport(name string, cfg ScaleConfig) (*RunReport, error) {
-	cfg = cfg.withDefaults()
-	gen, ok := netgen.ByName(cfg.Preset)
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown scale preset %q", cfg.Preset)
-	}
-	gen.Seed += cfg.Seed
-	h, err := netgen.Generate(gen)
-	if err != nil {
-		return nil, fmt.Errorf("bench: generating %s: %w", gen.Name, err)
-	}
-
-	tr := obs.NewTrace("bench:" + name)
-	rep := &RunReport{
-		Name:       name,
-		CreatedAt:  time.Now().UTC(),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Suite: SuiteConfig{
-			Scale:       1.0,
-			Seed:        cfg.Seed,
-			Parallelism: cfg.Parallelism,
-		},
-		Algorithms: []string{AlgScaleSelective, AlgScaleFull},
-	}
-	cr := CircuitReport{
-		Name:    gen.Name,
-		Modules: h.NumModules(),
-		Nets:    h.NumNets(),
-		Pins:    h.NumPins(),
-	}
-	csp := tr.StartSpan(gen.Name)
+// scaleRuns partitions h twice — selective then full
+// reorthogonalization — with the default candidate count.
+func (s Suite) scaleRuns(h *hypergraph.Hypergraph, rec obs.Recorder) ([]AlgRun, error) {
+	steps := make([]step, 0, 2)
 	for _, run := range []struct {
 		alg  string
 		mode eigen.ReorthMode
 	}{{AlgScaleSelective, eigen.ReorthSelective}, {AlgScaleFull, eigen.ReorthFull}} {
-		sp := csp.StartSpan(run.alg)
-		opts := core.Options{
-			Parallelism: cfg.Parallelism,
-			Rec:         sp,
-		}
-		opts.Eigen.ReorthMode = run.mode
-		opts.Eigen.MatvecWorkers = cfg.MatvecWorkers
-		t0 := time.Now()
-		res, err := core.PartitionCandidates(h, cfg.Candidates, opts)
-		wall := time.Since(t0)
-		sp.End()
-		if err != nil {
-			return nil, fmt.Errorf("bench: scale run %s on %s: %w", run.alg, gen.Name, err)
-		}
-		cr.Runs = append(cr.Runs, AlgRun{
-			Alg:      run.alg,
-			Metrics:  res.Metrics,
-			WallNS:   int64(wall),
-			RatioCut: res.Metrics.RatioCut,
-		})
+		steps = append(steps, step{run.alg, func(sp obs.Recorder) (AlgRun, error) {
+			opts := core.Options{Parallelism: s.Parallelism, Eigen: s.eigenOpts(), Rec: sp}
+			opts.Eigen.ReorthMode = run.mode
+			res, err := core.PartitionCandidates(h, core.DefaultCandidates, opts)
+			return bipartition(res.Metrics, err)
+		}})
 	}
-	csp.End()
-	rep.Circuits = []CircuitReport{cr}
-	root := tr.Finish()
-	rep.Circuits[0].Stages = root.Children[0]
-	rep.Metrics = tr.Metrics().Snapshot()
-	rep.TotalNS = root.DurationNS
-	return rep, nil
-}
-
-// findScaleRuns locates the selective/full pair in a report's circuits.
-func findScaleRuns(r *RunReport) (circuit *CircuitReport, sel, full *AlgRun) {
-	for i := range r.Circuits {
-		c := &r.Circuits[i]
-		var s, f *AlgRun
-		for j := range c.Runs {
-			switch c.Runs[j].Alg {
-			case AlgScaleSelective:
-				s = &c.Runs[j]
-			case AlgScaleFull:
-				f = &c.Runs[j]
-			}
-		}
-		if s != nil && f != nil {
-			return c, s, f
-		}
-	}
-	return nil, nil, nil
-}
-
-// VerifyScaleReport checks a scale report against the acceptance gate:
-// a ≥ScaleMinNets-net circuit, selective ≥ScaleMinSpeedup× faster than
-// full, ratio cuts within ScaleRatioTol of each other, and the
-// reorth-skip counter proving the selective path actually skipped work.
-// The returned slice lists every violation; empty means the gate passes.
-func VerifyScaleReport(r *RunReport) []string {
-	var violations []string
-	c, sel, full := findScaleRuns(r)
-	if c == nil {
-		return []string{fmt.Sprintf("no circuit carries both %s and %s runs", AlgScaleSelective, AlgScaleFull)}
-	}
-	if c.Nets < ScaleMinNets {
-		violations = append(violations,
-			fmt.Sprintf("%s: %d nets is below the %d-net scale floor", c.Name, c.Nets, ScaleMinNets))
-	}
-	if sel.WallNS <= 0 || full.WallNS <= 0 {
-		violations = append(violations,
-			fmt.Sprintf("%s: non-positive wall times (selective %dns, full %dns)", c.Name, sel.WallNS, full.WallNS))
-	} else if speedup := float64(full.WallNS) / float64(sel.WallNS); speedup < ScaleMinSpeedup {
-		violations = append(violations,
-			fmt.Sprintf("%s: selective speedup %.2f× is below the %.1f× floor (selective %s, full %s)",
-				c.Name, speedup, ScaleMinSpeedup,
-				time.Duration(sel.WallNS), time.Duration(full.WallNS)))
-	}
-	if hi, lo := sel.RatioCut, full.RatioCut; hi > lo*(1+ScaleRatioTol) || lo > hi*(1+ScaleRatioTol) {
-		violations = append(violations,
-			fmt.Sprintf("%s: ratio cuts diverge beyond %.0f%%: selective %.6g vs full %.6g",
-				c.Name, ScaleRatioTol*100, sel.RatioCut, full.RatioCut))
-	}
-	if r.Metrics.Counters["eigen.reorth.skipped"] == 0 {
-		violations = append(violations,
-			"eigen.reorth.skipped = 0: the selective run never skipped reorthogonalization, so the speedup claim is vacuous")
-	}
-	return violations
-}
-
-// CompareReportsWithBudget extends CompareReports with a wall-clock
-// budget: beyond the ratio-cut gate, each (circuit, algorithm) cell must
-// finish within wallFactor× its baseline wall time. Wall times vary
-// across machines, so callers pick generous factors (CI uses 3×); a
-// factor ≤ 0 disables the budget and reduces to CompareReports.
-func CompareReportsWithBudget(baseline, cur *RunReport, tol, wallFactor float64) []string {
-	regressions := CompareReports(baseline, cur, tol)
-	if wallFactor <= 0 {
-		return regressions
-	}
-	current := make(map[[2]string]AlgRun)
-	for _, c := range cur.Circuits {
-		for _, run := range c.Runs {
-			current[[2]string{c.Name, run.Alg}] = run
-		}
-	}
-	for _, c := range baseline.Circuits {
-		for _, base := range c.Runs {
-			now, ok := current[[2]string{c.Name, base.Alg}]
-			if !ok || base.WallNS <= 0 {
-				continue // missing cells are already reported by CompareReports
-			}
-			if limit := int64(float64(base.WallNS) * wallFactor); now.WallNS > limit {
-				regressions = append(regressions,
-					fmt.Sprintf("%s/%s: wall time %s exceeds the %.1f× budget over baseline %s",
-						c.Name, base.Alg, time.Duration(now.WallNS), wallFactor, time.Duration(base.WallNS)))
-			}
-		}
-	}
-	return regressions
+	return runSteps(rec, steps)
 }

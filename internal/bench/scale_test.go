@@ -1,96 +1,24 @@
 package bench
 
-import (
-	"strings"
-	"testing"
+import "testing"
 
-	"igpart/internal/obs"
-)
-
-// syntheticScale fabricates a report shaped like results/BENCH_scale.json.
-func syntheticScale(nets int, selNS, fullNS int64, selRatio, fullRatio float64, skipped int64) *RunReport {
-	return &RunReport{
-		Name: "scale",
-		Circuits: []CircuitReport{{
-			Name: "scale100k",
-			Nets: nets,
-			Runs: []AlgRun{
-				{Alg: AlgScaleSelective, WallNS: selNS, RatioCut: selRatio},
-				{Alg: AlgScaleFull, WallNS: fullNS, RatioCut: fullRatio},
-			},
-		}},
-		Metrics: obs.MetricsSnapshot{Counters: map[string]int64{"eigen.reorth.skipped": skipped}},
-	}
-}
-
-func TestVerifyScaleReportGate(t *testing.T) {
-	ok := syntheticScale(100_000, 1e9, 4e9, 2.00e-5, 2.01e-5, 1234)
-	if v := VerifyScaleReport(ok); len(v) != 0 {
-		t.Fatalf("clean report flagged: %v", v)
-	}
-
-	cases := []struct {
-		name string
-		r    *RunReport
-		want string
-	}{
-		{"too-small", syntheticScale(50_000, 1e9, 4e9, 2e-5, 2e-5, 1), "scale floor"},
-		{"too-slow", syntheticScale(100_000, 2e9, 4e9, 2e-5, 2e-5, 1), "speedup"},
-		{"ratio-drift", syntheticScale(100_000, 1e9, 4e9, 2.1e-5, 2.0e-5, 1), "ratio cuts diverge"},
-		{"no-skips", syntheticScale(100_000, 1e9, 4e9, 2e-5, 2e-5, 0), "reorth.skipped"},
-		{"missing-runs", &RunReport{Name: "scale"}, "no circuit"},
-	}
-	for _, tc := range cases {
-		v := VerifyScaleReport(tc.r)
-		found := false
-		for _, msg := range v {
-			if strings.Contains(msg, tc.want) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%s: violations %v do not mention %q", tc.name, v, tc.want)
-		}
-	}
-}
-
-func TestCompareReportsWithBudget(t *testing.T) {
-	base := syntheticScale(100_000, 1e9, 4e9, 2e-5, 2e-5, 1)
-	// Same ratios, selective 2.5x slower than its baseline cell.
-	cur := syntheticScale(100_000, 25e8, 4e9, 2e-5, 2e-5, 1)
-	if reg := CompareReportsWithBudget(base, cur, 0.10, 3.0); len(reg) != 0 {
-		t.Fatalf("within 3x budget but flagged: %v", reg)
-	}
-	reg := CompareReportsWithBudget(base, cur, 0.10, 2.0)
-	if len(reg) != 1 || !strings.Contains(reg[0], "budget") {
-		t.Fatalf("2x budget should flag the selective cell once, got %v", reg)
-	}
-	// Factor <= 0 disables the wall gate entirely.
-	if reg := CompareReportsWithBudget(base, cur, 0.10, 0); len(reg) != 0 {
-		t.Fatalf("disabled budget still flagged: %v", reg)
-	}
-	// The ratio gate still applies underneath.
-	worse := syntheticScale(100_000, 1e9, 4e9, 3e-5, 2e-5, 1)
-	if reg := CompareReportsWithBudget(base, worse, 0.10, 0); len(reg) == 0 {
-		t.Fatal("ratio regression slipped past the budget wrapper")
-	}
-}
-
-// TestScaleReportSmoke runs the real pipeline on a small preset: both
-// modes complete, runs are labeled, and the report round-trips the gate
-// plumbing (the 3x/100k gate itself is only meaningful at full scale).
+// TestScaleReportSmoke runs the real scale workload on a small preset:
+// both modes complete, runs are labeled, and the report carries the pair
+// the claim reads (the 3x/100k claim itself is only meaningful at full
+// scale).
 func TestScaleReportSmoke(t *testing.T) {
-	rep, err := ScaleReport("scale-smoke", ScaleConfig{Preset: "Prim1", Candidates: 8})
+	rep, err := Suite{Preset: "Prim1"}.Report("scale-smoke", WorkloadScale)
 	if err != nil {
-		t.Fatalf("ScaleReport: %v", err)
+		t.Fatalf("Report: %v", err)
 	}
-	c, sel, full := findScaleRuns(rep)
+	c, runs := findRuns(rep, []string{AlgScaleSelective, AlgScaleFull})
 	if c == nil {
 		t.Fatal("report lacks the selective/full run pair")
 	}
 	if c.Nets != 902 {
 		t.Fatalf("Prim1 preset produced %d nets", c.Nets)
 	}
+	sel, full := runs[AlgScaleSelective], runs[AlgScaleFull]
 	if sel.Metrics.CutNets <= 0 || full.Metrics.CutNets <= 0 {
 		t.Fatalf("degenerate cuts: selective %d, full %d", sel.Metrics.CutNets, full.Metrics.CutNets)
 	}
@@ -100,5 +28,8 @@ func TestScaleReportSmoke(t *testing.T) {
 	// Identical ordering => identical candidate sweep => identical cut.
 	if sel.RatioCut != full.RatioCut {
 		t.Fatalf("selective ratio cut %.9g != full %.9g on Prim1 — ordering parity broke", sel.RatioCut, full.RatioCut)
+	}
+	if c.Stages.Find(AlgScaleSelective) == nil || c.Stages.Find(AlgScaleFull) == nil {
+		t.Fatalf("stage tree lacks a span per mode: %+v", c.Stages)
 	}
 }
