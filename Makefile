@@ -33,8 +33,8 @@ test:
 
 # CI fuzz smoke: 10 seconds each on the Bookshelf writer round trip, the
 # multilevel V-cycle invariants, service request validation (generic,
-# k-way, and ECO delta), and the benchmark generator's structural
-# contract.
+# k-way, and ECO delta), the benchmark generator's structural contract,
+# and the IG-Match sweep's per-split output.
 fuzz-smoke:
 	$(GO) test ./internal/hypergraph -run '^$$' -fuzz '^FuzzBookshelfRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/multilevel -run '^$$' -fuzz '^FuzzVCycle$$' -fuzztime 10s
@@ -42,6 +42,7 @@ fuzz-smoke:
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzKWayRequest$$' -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDeltaRequest$$' -fuzztime 10s
 	$(GO) test ./internal/netgen -run '^$$' -fuzz '^FuzzNetgen$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSweep$$' -fuzztime 10s
 
 # Chaos suite: the seeded fault-injection and panic-isolation tests —
 # injector determinism, shard panic barriers, eigen fallback rungs, the

@@ -1,0 +1,181 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"igpart/internal/bipartite"
+	"igpart/internal/hypergraph"
+	"igpart/internal/partition"
+)
+
+// sameState reports the first difference between two completers' kept
+// Phase II state, or "" when they agree.
+func sameState(a, b *completer) string {
+	switch {
+	case !slices.Equal(a.win, b.win):
+		return "net winner classes"
+	case !slices.Equal(a.onU, b.onU) || !slices.Equal(a.onW, b.onW):
+		return "per-module winner-net counts"
+	case !slices.Equal(a.col, b.col):
+		return "module coloring"
+	case !slices.Equal(a.pinU, b.pinU) || !slices.Equal(a.pinW, b.pinW):
+		return "per-net pin counts"
+	case a.nU != b.nU || a.nW != b.nW:
+		return fmt.Sprintf("side sizes %d/%d vs %d/%d", a.nU, a.nW, b.nU, b.nW)
+	case a.winners != b.winners:
+		return fmt.Sprintf("winner count %d vs %d", a.winners, b.winners)
+	case a.cutToU != b.cutToU || a.cutToW != b.cutToW:
+		return fmt.Sprintf("cut counts %d/%d vs %d/%d", a.cutToU, a.cutToW, b.cutToU, b.cutToW)
+	}
+	return ""
+}
+
+// checkSweepState walks every split of order with one incrementally
+// advanced completer and, at each split, checks it against a fresh
+// O(pins) build and the split's completion against an independent one:
+// completeBulk (scored with partition.Evaluate) on the unconstrained path,
+// and partition.Evaluate of the materialized completion on the
+// constrained one.
+func checkSweepState(t *testing.T, label string, h *hypergraph.Hypergraph, order []int, cons *constraints) {
+	t.Helper()
+	adj := IGAdjacency(h)
+	matcher := bipartite.NewMatcher(adj)
+	inc := newCompleter(h, cons)
+	fresh := newCompleter(h, cons)
+	sides := make([]partition.Side, h.NumModules())
+	for rank := 1; rank < len(order); rank++ {
+		matcher.MoveToR(order[rank-1])
+		matcher.Classify()
+		if rank == 1 {
+			inc.build(matcher)
+		} else {
+			inc.advance(matcher, order[rank-1])
+		}
+		fresh.build(matcher)
+		if diff := sameState(inc, fresh); diff != "" {
+			t.Fatalf("%s rank %d: incremental state differs from a fresh build: %s", label, rank, diff)
+		}
+		met, vnSide, ok := inc.score()
+		if cons == nil {
+			want, wantPart, wantOK := completeBulk(h, matcher.Winners(), sides)
+			if ok != wantOK || (ok && met != want) {
+				t.Fatalf("%s rank %d: evaluate %+v (ok=%v), completeBulk %+v (ok=%v)",
+					label, rank, met, ok, want, wantOK)
+			}
+			if ok && !samePartition(inc.materializeBest(vnSide), wantPart) {
+				t.Fatalf("%s rank %d: materialized completion differs from completeBulk's", label, rank)
+			}
+			continue
+		}
+		if ok {
+			if got := partition.Evaluate(h, inc.materializeBest(vnSide)); got != met {
+				t.Fatalf("%s rank %d: constrained score %+v, its completion evaluates to %+v", label, rank, met, got)
+			}
+		}
+	}
+}
+
+func samePartition(a, b *partition.Bipartition) bool {
+	for v := 0; v < a.NumModules(); v++ {
+		if a.Side(v) != b.Side(v) {
+			return false
+		}
+	}
+	return a.NumModules() == b.NumModules()
+}
+
+// TestCompleterIncrementalEqualsBuild checks the kept Phase II state at
+// every split of the randomCircuit seeds, under a random net order, with
+// and without FixedSides (the pinned runs also carry a tight balance
+// window, so the affinity-ordered balanced completion runs too).
+func TestCompleterIncrementalEqualsBuild(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		h := randomCircuit(t, seed)
+		rng := rand.New(rand.NewSource(seed))
+		order := rng.Perm(h.NumNets())
+		checkSweepState(t, fmt.Sprintf("seed %d", seed), h, order, nil)
+
+		n := h.NumModules()
+		fixed := make([]int8, n)
+		for v := range fixed {
+			fixed[v] = -1
+			switch rng.Intn(9) {
+			case 0:
+				fixed[v] = 0
+			case 1:
+				fixed[v] = 1
+			}
+		}
+		cons, err := newConstraints(Options{FixedSides: fixed, Balance: &Balance{MinU: n/2 - 3, MaxU: n/2 + 3}}, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSweepState(t, fmt.Sprintf("seed %d pinned", seed), h, order, cons)
+	}
+}
+
+// sameRecord compares two split records, +Inf ratio cuts included.
+func sameRecord(a, b SplitRecord) bool {
+	return a.Rank == b.Rank && a.MatchingSize == b.MatchingSize && a.CutNets == b.CutNets &&
+		(a.RatioCut == b.RatioCut || (math.IsInf(a.RatioCut, 1) && math.IsInf(b.RatioCut, 1)))
+}
+
+// TestWindowedTraceMatchesFullSweep checks that a sweep restricted to a
+// rank window traces exactly the ranks it swept, each record equal to the
+// unwindowed sweep's at that rank: SweepLo/SweepHi windows against the full
+// sweep, and a balance budget (which prunes to its own rank window) against
+// the same budget narrowed further by SweepLo/SweepHi. Shards starting
+// mid-ordering build their completer state there, so this also covers the
+// incremental completer's mid-ordering start.
+func TestWindowedTraceMatchesFullSweep(t *testing.T) {
+	run := func(h *hypergraph.Hypergraph, order []int, opts Options) []SplitRecord {
+		t.Helper()
+		var trace []SplitRecord
+		opts.Trace = &trace
+		// A window without a proper completion fails the run but still
+		// traces its ranks, all infeasible.
+		_, _ = PartitionWithOrder(h, order, opts)
+		return trace
+	}
+	check := func(label string, trace []SplitRecord, lo, hi int, ref []SplitRecord, refLo int) {
+		t.Helper()
+		if len(trace) != hi-lo+1 {
+			t.Fatalf("%s: %d records, want %d for ranks [%d,%d]", label, len(trace), hi-lo+1, lo, hi)
+		}
+		for i, rec := range trace {
+			if want := ref[lo-refLo+i]; rec.Rank != lo+i || !sameRecord(rec, want) {
+				t.Fatalf("%s: record %d is %+v, the wider sweep has %+v", label, i, rec, want)
+			}
+		}
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		h := randomCircuit(t, seed)
+		order := rand.New(rand.NewSource(seed)).Perm(h.NumNets())
+		m, n := h.NumNets(), h.NumModules()
+		full := run(h, order, Options{Parallelism: 1})
+		bal := &Balance{MinU: n / 3, MaxU: 2 * n / 3}
+		blo, bhi := balanceRankWindow(bal, n, m-1)
+		balFull := run(h, order, Options{Parallelism: 1, Balance: bal})
+		if len(balFull) != bhi-blo+1 {
+			t.Fatalf("seed %d: balance sweep traced %d records, want %d for ranks [%d,%d]",
+				seed, len(balFull), bhi-blo+1, blo, bhi)
+		}
+		for i, rec := range balFull { // the budget changes scores, not matchings
+			if want := full[blo-1+i]; rec.Rank != want.Rank || rec.MatchingSize != want.MatchingSize {
+				t.Fatalf("seed %d: balance record %d is %+v, full sweep has %+v", seed, i, rec, want)
+			}
+		}
+		for _, p := range []int{1, 3} {
+			label := fmt.Sprintf("seed %d P=%d", seed, p)
+			check(label+" [40,60]", run(h, order, Options{Parallelism: p, SweepLo: 40, SweepHi: 60}), 40, 60, full, 1)
+			check(label+" past the end", run(h, order, Options{Parallelism: p, SweepLo: m - 10, SweepHi: m + 5}), m-10, m-1, full, 1)
+			check(label+" inside the balance window",
+				run(h, order, Options{Parallelism: p, Balance: bal, SweepLo: blo + 5, SweepHi: bhi - 5}),
+				blo+5, bhi-5, balFull, blo)
+		}
+	}
+}

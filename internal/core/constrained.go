@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"sort"
 
-	"igpart/internal/bipartite"
 	"igpart/internal/partition"
 )
 
@@ -137,69 +136,21 @@ func balanceRankWindow(bal *Balance, n, nSplits int) (lo, hi int) {
 }
 
 // evaluateConstrained is the constrained counterpart of evaluate: it
-// colors the winners around the pinned modules, scores both bulk V_N
-// placements against the balance window, and when neither lands inside it
-// falls back to the affinity-ordered balanced completion — V_N sorted by
-// net affinity to the colored sides, split at the feasible prefix length
-// that scores better. The chosen completion is remembered in balX/balSide
-// for materializeConstrained. ok is false when the window is unreachable
-// at this split.
-func (c *completer) evaluateConstrained(sets bipartite.Sets) (partition.Metrics, bool) {
-	wU, wW := c.color(sets) // free winner modules only; pins stay put
-	nU := c.cons.fixedU + wU
-	nW := c.cons.fixedW + wW
+// reads the kept coloring — winners around the pinned modules — and the
+// kept cut counts to score both bulk V_N placements against the balance
+// window, and when neither lands inside it falls back to the
+// affinity-ordered balanced completion — V_N sorted by net affinity to the
+// colored sides, split at the feasible prefix length that scores better.
+// The chosen completion is remembered in balX/balSide for
+// materializeConstrained. ok is false when the window is unreachable at
+// this split.
+func (c *completer) evaluateConstrained() (partition.Metrics, bool) {
+	nU := c.cons.fixedU + c.nU // c.nU and c.nW count free modules only
+	nW := c.cons.fixedW + c.nW
 	n := c.h.NumModules()
 	nN := n - nU - nW
 	lo, hi := c.cons.window(n)
-
-	// Collect V_N and reset its affinity accumulators, then one pass over
-	// the pins scores both bulk options and the per-module affinities the
-	// balanced fallback sorts by.
-	c.vn = c.vn[:0]
-	for v := 0; v < n; v++ {
-		if c.assigned[v] == 0 {
-			c.vn = append(c.vn, v)
-			c.affU[v] = 0
-			c.affW[v] = 0
-		}
-	}
-	cutToU, cutToW := 0, 0 // cut counts for V_N→U and V_N→W
-	for e := 0; e < c.h.NumNets(); e++ {
-		pins := c.h.Pins(e)
-		if len(pins) < 2 {
-			continue
-		}
-		var hasU, hasW, hasN bool
-		for _, v := range pins {
-			switch c.assigned[v] {
-			case 1:
-				hasU = true
-			case 2:
-				hasW = true
-			default:
-				hasN = true
-			}
-		}
-		if hasW && (hasU || hasN) {
-			cutToU++
-		}
-		if hasU && (hasW || hasN) {
-			cutToW++
-		}
-		if hasN && (hasU || hasW) {
-			for _, v := range pins {
-				if c.assigned[v] != 0 {
-					continue
-				}
-				if hasU {
-					c.affU[v]++
-				}
-				if hasW {
-					c.affW[v]++
-				}
-			}
-		}
-	}
+	cutToU, cutToW := c.cutToU, c.cutToW
 
 	metU := partition.Metrics{ // V_N joins U
 		CutNets: cutToU, SizeU: nU + nN, SizeW: nW,
@@ -234,6 +185,7 @@ func (c *completer) evaluateConstrained(sets bipartite.Sets) (partition.Metrics,
 	if xlo > xhi || nN == 0 {
 		return partition.Metrics{}, false
 	}
+	c.affinities()
 	c.sortVNByAffinity()
 	x := xlo
 	met := partition.Metrics{CutNets: c.vnCut(xlo), SizeU: nU + xlo, SizeW: nW + nN - xlo}
@@ -259,7 +211,7 @@ func (c *completer) evaluateConstrained(sets bipartite.Sets) (partition.Metrics,
 func (c *completer) materializeConstrained() *partition.Bipartition {
 	sides := make([]partition.Side, c.h.NumModules())
 	for v := range sides {
-		switch c.assigned[v] {
+		switch c.col[v] {
 		case 1:
 			sides[v] = sideU
 		case 2:
@@ -275,6 +227,29 @@ func (c *completer) materializeConstrained() *partition.Bipartition {
 		}
 	}
 	return partition.FromSides(sides)
+}
+
+// affinities collects V_N and, for each of its modules, the number of its
+// nets that hold a U pin (affU) and a W pin (affW) under the kept pin
+// counts — one pass over V_N's pins.
+func (c *completer) affinities() {
+	c.vn = c.vn[:0]
+	for v, col := range c.col {
+		if col != 0 {
+			continue
+		}
+		c.vn = append(c.vn, v)
+		var au, aw int32
+		for _, e := range c.h.Nets(v) {
+			if c.pinU[e] > 0 {
+				au++
+			}
+			if c.pinW[e] > 0 {
+				aw++
+			}
+		}
+		c.affU[v], c.affW[v] = au, aw
+	}
 }
 
 // sortVNByAffinity orders c.vn by descending affinity to side U
@@ -307,7 +282,7 @@ func (c *completer) vnCut(x int) int {
 		}
 		var hasU, hasW bool
 		for _, v := range pins {
-			switch c.assigned[v] {
+			switch c.col[v] {
 			case 1:
 				hasU = true
 			case 2:

@@ -1,0 +1,92 @@
+package core
+
+import (
+	"testing"
+
+	"igpart/internal/hypergraph"
+)
+
+// FuzzSweep checks the sweep's output split by split on tiny hypergraphs
+// (at most 12 modules and 16 nets) under an arbitrary net order: the
+// serial and sharded engines trace the same records and pick the same
+// partition, every feasible record respects Theorem 5 (cut ≤ |MM(B)|),
+// and every record equals CompleteNetPartition's from-scratch completion
+// of that split's net sides — infeasible in both or equal in matching
+// size, cut and ratio cut.
+func FuzzSweep(f *testing.F) {
+	f.Add(uint8(6), []byte{2, 0, 1, 2, 1, 2, 3, 0, 3, 2, 4, 5}, []byte{3, 1, 4, 1, 5})
+	f.Add(uint8(9), []byte{3, 0, 1, 2, 3, 3, 4, 5, 2, 5, 6, 2, 7, 8, 2, 0, 8}, []byte{9, 2, 6})
+	f.Add(uint8(12), []byte{4, 0, 1, 2, 3, 2, 3, 4, 4, 4, 5, 6, 7, 1, 7, 3, 7, 8, 9, 2, 9, 10, 2, 10, 11, 0, 2, 11, 0}, []byte{})
+	f.Fuzz(func(t *testing.T, nMod uint8, nets, perm []byte) {
+		n := int(nMod)%11 + 2
+		b := hypergraph.NewBuilder().SetNumModules(n)
+		// Decode nets as a stream: one size byte, then that many pins mod n.
+		for i, k := 0, 0; i < len(nets) && k < 16; k++ {
+			size := int(nets[i]) % 5
+			i++
+			pins := make([]int, 0, size)
+			for j := 0; j < size && i < len(nets); j++ {
+				pins = append(pins, int(nets[i])%n)
+				i++
+			}
+			b.AddNet(pins...)
+		}
+		h := b.Build()
+		m := h.NumNets()
+		if m < 2 {
+			return
+		}
+		// Fisher–Yates over the net indices, driven by perm's bytes.
+		order := make([]int, m)
+		for i := range order {
+			order[i] = i
+		}
+		for i, k := m-1, 0; i > 0; i, k = i-1, k+1 {
+			if k < len(perm) {
+				j := int(perm[k]) % (i + 1)
+				order[i], order[j] = order[j], order[i]
+			}
+		}
+
+		var serial, sharded []SplitRecord
+		resA, errA := PartitionWithOrder(h, order, Options{Parallelism: 1, Trace: &serial})
+		resB, errB := PartitionWithOrder(h, order, Options{Parallelism: 3, Trace: &sharded})
+		if (errA == nil) != (errB == nil) {
+			t.Fatalf("P=1 err %v, P=3 err %v", errA, errB)
+		}
+		if len(serial) != m-1 || len(sharded) != m-1 {
+			t.Fatalf("traces hold %d and %d records, want %d", len(serial), len(sharded), m-1)
+		}
+		if errA == nil {
+			if resA.BestRank != resB.BestRank || resA.Metrics != resB.Metrics || !samePartition(resA.Partition, resB.Partition) {
+				t.Fatalf("P=1 best (rank %d, %+v) differs from P=3 best (rank %d, %+v)",
+					resA.BestRank, resA.Metrics, resB.BestRank, resB.Metrics)
+			}
+		}
+
+		inR := make([]bool, m)
+		for i, rec := range serial {
+			rank := i + 1
+			inR[order[i]] = true
+			if !sameRecord(rec, sharded[i]) {
+				t.Fatalf("rank %d: P=1 record %+v, P=3 record %+v", rank, rec, sharded[i])
+			}
+			if rec.Rank != rank {
+				t.Fatalf("record %d has rank %d", i, rec.Rank)
+			}
+			if rec.CutNets > rec.MatchingSize {
+				t.Fatalf("rank %d: cut %d exceeds the matching bound %d (Theorem 5)", rank, rec.CutNets, rec.MatchingSize)
+			}
+			_, met, mm, err := CompleteNetPartition(h, inR)
+			if err != nil {
+				if rec.CutNets != -1 {
+					t.Fatalf("rank %d: sweep completed %+v, CompleteNetPartition found no proper completion", rank, rec)
+				}
+				continue
+			}
+			if rec.MatchingSize != mm || rec.CutNets != met.CutNets || rec.RatioCut != met.RatioCut {
+				t.Fatalf("rank %d: sweep record %+v, CompleteNetPartition matching %d %+v", rank, rec, mm, met)
+			}
+		}
+	})
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"igpart/internal/bipartite"
 	"igpart/internal/obs"
 )
 
@@ -15,6 +16,32 @@ import (
 func TestObsCountersMatchGroundTruth(t *testing.T) {
 	h := randomCircuit(t, 3)
 	m := h.NumNets()
+
+	// Ground truth for the Phase I and Phase II work counters, from a
+	// serial walk of the same ordering: the winners at every split, and
+	// the nets whose winner class changed between consecutive splits.
+	base, err := Partition(h, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantWinners, wantReclassified int64
+	matcher := bipartite.NewMatcher(IGAdjacency(h))
+	prevWin := make([]uint8, m)
+	for rank := 1; rank < m; rank++ {
+		matcher.MoveToR(base.NetOrder[rank-1])
+		matcher.Classify()
+		for e := range prevWin {
+			w := winClass(matcher, e)
+			if w != 0 {
+				wantWinners++
+			}
+			if rank > 1 && w != prevWin[e] {
+				wantReclassified++
+			}
+			prevWin[e] = w
+		}
+	}
+
 	for _, p := range []int{0, 1, 2, 4, 8} {
 		tr := obs.NewTrace("igmatch")
 		var trace []SplitRecord
@@ -53,8 +80,26 @@ func TestObsCountersMatchGroundTruth(t *testing.T) {
 		if got := sweep.Sum("phase2-evals"); got < 1 {
 			t.Errorf("p=%d: phase2-evals = %d, want ≥ 1", p, got)
 		}
-		if a, b := sweep.Sum("augmentations"), snap.Counters["sweep.augmentations"]; a != b {
-			t.Errorf("p=%d: span augmentations %d != registry %d", p, a, b)
+		for _, c := range []struct{ span, reg string }{
+			{"augmentations", "sweep.augmentations"},
+			{"phase1-winners", "sweep.phase1_winners"},
+			{"phase1-scanned", "sweep.phase1_scanned"},
+			{"reclassified", "sweep.reclassified"},
+		} {
+			if a, b := sweep.Sum(c.span), snap.Counters[c.reg]; a != b {
+				t.Errorf("p=%d: span %s %d != registry %s %d", p, c.span, a, c.reg, b)
+			}
+		}
+		if got := sweep.Sum("phase1-winners"); got != wantWinners {
+			t.Errorf("p=%d: phase1-winners = %d, want %d", p, got, wantWinners)
+		}
+		if got := sweep.Sum("phase1-scanned"); got < 1 {
+			t.Errorf("p=%d: phase1-scanned = %d, want ≥ 1", p, got)
+		}
+		// Each shard builds its first split from scratch, so only the
+		// serial sweep counts every consecutive-split change.
+		if got := sweep.Sum("reclassified"); p == 1 && got != wantReclassified {
+			t.Errorf("serial reclassified = %d, want %d", got, wantReclassified)
 		}
 		// Shard spans match the reduction's reported shard count.
 		shards := 0

@@ -141,7 +141,6 @@ func candidateSweep(h *hypergraph.Hypergraph, order []int, candidates int, opts 
 
 	best := Result{NetOrder: order}
 	bestCost := partition.Metrics{RatioCut: inf()}
-	var bestSets bipartite.Sets
 	haveBest := false
 	for _, sb := range results {
 		if sb.err != nil {
@@ -157,7 +156,6 @@ func candidateSweep(h *hypergraph.Hypergraph, order []int, candidates int, opts 
 			best.Metrics = sb.met
 			best.BestRank = sb.rank
 			best.BestMatching = sb.matching
-			bestSets = sb.sets
 			haveBest = true
 		}
 	}
@@ -178,7 +176,7 @@ func candidateSweep(h *hypergraph.Hypergraph, order []int, candidates int, opts 
 	// The recursive extension is pin- and balance-oblivious; it only
 	// augments unconstrained runs.
 	if opts.RecursionDepth > 0 && cons == nil {
-		if p2, met2, ok := completeRecursive(h, bestSets, opts); ok && better(met2, best.Metrics) {
+		if p2, met2, ok := completeRecursive(h, winnersAt(adj, order, best.BestRank), opts); ok && better(met2, best.Metrics) {
 			best.Partition = p2
 			best.Metrics = met2
 			best.Recursed = true
@@ -212,8 +210,7 @@ func candidateShard(h *hypergraph.Hypergraph, adj [][]int, order []int, ranks []
 
 	var sb shardBest
 	bestCost := partition.Metrics{RatioCut: inf()}
-	var sets bipartite.Sets
-	var winners, infeasible, augmentations int64
+	var winners, infeasible, augmentations, scanned int64
 	for _, rank := range ranks {
 		if opts.Ctx != nil {
 			if err := opts.Ctx.Err(); err != nil {
@@ -226,17 +223,11 @@ func candidateShard(h *hypergraph.Hypergraph, adj [][]int, order []int, ranks []
 		}
 		matcher := bipartite.NewMatcherAt(adj, inR)
 		matcher.MoveToR(order[rank-1])
-		matcher.WinnersInto(&sets)
-		winners += int64(len(sets.EvenL) + len(sets.EvenR))
+		scanned += int64(matcher.Classify())
+		comp.build(matcher)
+		winners += int64(comp.winners)
 		augmentations += int64(matcher.Augmentations())
-		var met partition.Metrics
-		var vnSide partition.Side
-		var ok bool
-		if comp.cons == nil {
-			met, vnSide, ok = comp.evaluate(sets)
-		} else {
-			met, ok = comp.evaluateConstrained(sets)
-		}
+		met, vnSide, ok := comp.score()
 		if !ok {
 			infeasible++
 			continue
@@ -248,16 +239,17 @@ func candidateShard(h *hypergraph.Hypergraph, adj [][]int, order []int, ranks []
 			sb.part = comp.materializeBest(vnSide)
 			sb.rank = rank
 			sb.matching = matcher.MatchingSize()
-			sb.sets = copySets(sets)
 		}
 	}
 	sp.Count("splits", int64(len(ranks)))
 	sp.Count("phase1-winners", winners)
+	sp.Count("phase1-scanned", scanned)
 	sp.Count("infeasible", infeasible)
 	reg := sp.Metrics()
 	reg.Counter("sweep.splits").Add(int64(len(ranks)))
 	reg.Counter("sweep.augmentations").Add(augmentations)
 	reg.Counter("sweep.phase1_winners").Add(winners)
+	reg.Counter("sweep.phase1_scanned").Add(scanned)
 	sp.End()
 	return sb
 }
