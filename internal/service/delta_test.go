@@ -227,7 +227,22 @@ func FuzzDeltaRequest(f *testing.F) {
 	f.Add(int16(3), int16(0), int16(5), int16(1), int16(2), int16(7), false)
 	f.Add(int16(-1), int16(9), int16(200), int16(0), int16(0), int16(0), true)
 	f.Add(int16(0), int16(0), int16(0), int16(0), int16(0), int16(0), false)
+	// The engine keeps only its last keepFinished jobs queryable, so a
+	// fuzz run that accepts enough deltas prunes the base job. Every
+	// iteration therefore deltas against a live base: once the current
+	// one is pruned, the same netlist is resubmitted (a cache hit).
+	baseID := base.ID()
 	f.Fuzz(func(t *testing.T, rmNet, addNetA, addNetB, pinNet, pinModA, pinModB int16, dup bool) {
+		if _, ok := e.Get(baseID); !ok {
+			fresh, err := e.Submit(Request{Netlist: h})
+			if err != nil {
+				t.Fatalf("resubmit pruned base: %v", err)
+			}
+			if s := fresh.Wait(context.Background()); s.State != StateDone {
+				t.Fatalf("resubmitted base failed: %s", s.State)
+			}
+			baseID = fresh.ID()
+		}
 		d := igpart.NetlistDelta{
 			AddNets:    [][]int{{int(addNetA), int(addNetB)}},
 			RemoveNets: []int{int(rmNet)},
@@ -237,7 +252,7 @@ func FuzzDeltaRequest(f *testing.F) {
 		if dup {
 			d.RemoveNets = append(d.RemoveNets, int(rmNet))
 		}
-		job, err := e.SubmitDelta(base.ID(), d, 0)
+		job, err := e.SubmitDelta(baseID, d, 0)
 		if err != nil {
 			if !errors.Is(err, ErrBadRequest) {
 				t.Fatalf("rejection not typed ErrBadRequest: %v", err)
