@@ -95,8 +95,10 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Short fuzzing pass over every parser, the Bookshelf writer, and the
-# multilevel V-cycle.
+# Short fuzzing pass over every fuzz target: the parsers, the Bookshelf
+# writer round trip, the multilevel V-cycle, service request validation
+# (generic, k-way, and ECO delta), the benchmark generator, and the
+# IG-Match sweep's per-split output.
 fuzz:
 	$(GO) test ./internal/hypergraph -fuzz FuzzReadHGR -fuzztime 30s
 	$(GO) test ./internal/hypergraph -fuzz FuzzReadNetlist -fuzztime 30s
@@ -107,6 +109,7 @@ fuzz:
 	$(GO) test ./internal/service -fuzz FuzzKWayRequest -fuzztime 30s
 	$(GO) test ./internal/service -fuzz FuzzDeltaRequest -fuzztime 30s
 	$(GO) test ./internal/netgen -fuzz FuzzNetgen -fuzztime 30s
+	$(GO) test ./internal/core -fuzz FuzzSweep -fuzztime 30s
 
 # Regenerate every paper table at full size.
 experiments:
@@ -115,9 +118,9 @@ experiments:
 # COVER_PKGS must each stay at or above COVER_MIN% statement coverage:
 # the pipeline core, the multilevel engine, the balanced k-way engine,
 # the observability layer, the matching substrate, the portfolio racer
-# and its feature extractor, the partition-service job engine, and the
-# cluster coordinator.
-COVER_PKGS = igpart/internal/core igpart/internal/multilevel igpart/internal/multiway igpart/internal/obs igpart/internal/bipartite igpart/internal/portfolio igpart/internal/features igpart/internal/service igpart/internal/cluster
+# and its feature extractor, the partition-service job engine, the
+# cluster coordinator, and the job registry and lifecycle they share.
+COVER_PKGS = igpart/internal/core igpart/internal/multilevel igpart/internal/multiway igpart/internal/obs igpart/internal/bipartite igpart/internal/portfolio igpart/internal/features igpart/internal/service igpart/internal/cluster igpart/internal/jobreg
 COVER_MIN  = 70
 
 cover:

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"igpart/internal/cluster"
+	"igpart/internal/jobreg"
 	"igpart/internal/obs"
 	"igpart/internal/service"
 )
@@ -178,6 +179,14 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
+// errText is a job error's wire form: its message, or "" for none.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
 // writeAccepted answers a submission: 202 with the new job, or the
 // error's status.
 func writeAccepted(w http.ResponseWriter, id string, job any, err error) {
@@ -298,7 +307,7 @@ func writeBatch(w http.ResponseWriter, r *http.Request, batch *cluster.Batch) {
 		sp.Count("resubmits", int64(msg.snap.Resubmits))
 		sp.End()
 		stage := tr.Report().Children[msg.idx]
-		if msg.snap.State == cluster.StateDone {
+		if msg.snap.State == jobreg.StateDone {
 			done++
 		} else {
 			failed++
@@ -306,12 +315,12 @@ func writeBatch(w http.ResponseWriter, r *http.Request, batch *cluster.Batch) {
 		if !emit(batchEvent{
 			Event:     "job",
 			ID:        msg.snap.ID,
-			State:     msg.snap.State,
+			State:     string(msg.snap.State),
 			Backend:   msg.snap.Backend,
 			Attempts:  msg.snap.Attempts,
 			Resubmits: msg.snap.Resubmits,
 			Cached:    msg.snap.Cached,
-			Error:     msg.snap.Err,
+			Error:     errText(msg.snap.Err),
 			Result:    msg.snap.Result,
 			Span:      &stage,
 		}) {

@@ -15,6 +15,7 @@ import (
 
 	"igpart"
 	"igpart/internal/cluster"
+	"igpart/internal/jobreg"
 	"igpart/internal/obs"
 	"igpart/internal/service"
 )
@@ -60,7 +61,7 @@ func (b *clusterBackend) pin(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		_, s := getJob(t, b.ts, j.ID)
-		if s.State == string(service.StateRunning) {
+		if s.State == string(jobreg.StateRunning) {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -248,7 +249,7 @@ func TestClusterChaosFailover(t *testing.T) {
 		if ev.Event != "job" {
 			t.Fatalf("event %d = %+v, want a job completion", i, ev)
 		}
-		if ev.State != string(service.StateDone) {
+		if ev.State != string(jobreg.StateDone) {
 			t.Fatalf("job %s ended %q (err %q), want done", ev.ID, ev.State, ev.Error)
 		}
 		if ev.Backend != survivor.name {
@@ -314,7 +315,7 @@ func TestClusterBatchStreamAndAggregates(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		ev := readEvent(t, br)
-		if ev.Event != "job" || ev.State != string(service.StateDone) {
+		if ev.Event != "job" || ev.State != string(jobreg.StateDone) {
 			t.Fatalf("job event = %+v, want done", ev)
 		}
 		if ev.Result == nil || ev.Span == nil || ev.Span.Counters["attempts"] != 1 {
@@ -437,7 +438,7 @@ func TestClusterCoordinatorRestartReplaysJournal(t *testing.T) {
 	}
 	for _, id := range accepted.Jobs {
 		final := pollClusterJob(t, cts2, id, 60*time.Second)
-		if final.State != string(service.StateDone) {
+		if final.State != string(jobreg.StateDone) {
 			t.Fatalf("replayed job %s ended %q (err %q), want done", id, final.State, final.Error)
 		}
 		if final.Result == nil {
@@ -462,7 +463,7 @@ func pollClusterJob(t *testing.T, ts *httptest.Server, id string, within time.Du
 		if err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET /v1/jobs/%s: status %d, err %v", id, resp.StatusCode, err)
 		}
-		if service.State(j.State).Terminal() {
+		if jobreg.State(j.State).Terminal() {
 			return j
 		}
 		if time.Now().After(deadline) {

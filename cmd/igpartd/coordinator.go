@@ -89,13 +89,13 @@ func coordSnapshotJSON(snap cluster.Snapshot) coordJobJSON {
 	j := coordJobJSON{
 		ID:         snap.ID,
 		Batch:      snap.Batch,
-		State:      snap.State,
+		State:      string(snap.State),
 		Backend:    snap.Backend,
 		BackendJob: snap.BackendJob,
 		Attempts:   snap.Attempts,
 		Resubmits:  snap.Resubmits,
 		Cached:     snap.Cached,
-		Error:      snap.Err,
+		Error:      errText(snap.Err),
 		Result:     snap.Result,
 		Submitted:  snap.Submitted,
 	}

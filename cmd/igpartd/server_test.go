@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"igpart"
+	"igpart/internal/jobreg"
 	"igpart/internal/obs"
 	"igpart/internal/service"
 )
@@ -101,7 +102,7 @@ func pollTerminal(t *testing.T, ts *httptest.Server, id string, within time.Dura
 		if code != http.StatusOK {
 			t.Fatalf("GET job %s: status %d", id, code)
 		}
-		if service.State(j.State).Terminal() {
+		if jobreg.State(j.State).Terminal() {
 			return j
 		}
 		if time.Now().After(deadline) {
@@ -143,7 +144,7 @@ func TestSubmitPollResult(t *testing.T) {
 		t.Fatalf("submit status = %d, want 202", code)
 	}
 	done := pollTerminal(t, ts, j.ID, 30*time.Second)
-	if done.State != string(service.StateDone) {
+	if done.State != string(jobreg.StateDone) {
 		t.Fatalf("state = %q (err %q), want done", done.State, done.Error)
 	}
 	if done.Cached {
@@ -171,7 +172,7 @@ func TestSubmitPollResult(t *testing.T) {
 		t.Fatalf("resubmit status = %d, want 202", code)
 	}
 	done2 := pollTerminal(t, ts, j2.ID, 10*time.Second)
-	if done2.State != string(service.StateDone) || !done2.Cached {
+	if done2.State != string(jobreg.StateDone) || !done2.Cached {
 		t.Fatalf("resubmit state=%q cached=%v, want done from cache", done2.State, done2.Cached)
 	}
 	if got := metricCounter(t, ts, "service.cache_hits"); got != hits+1 {
@@ -197,7 +198,7 @@ func TestQueueFull429(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		_, j := getJob(t, ts, j1.ID)
-		if j.State == string(service.StateRunning) {
+		if j.State == string(jobreg.StateRunning) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -239,7 +240,7 @@ func TestCancelRunningJob(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		_, s := getJob(t, ts, j.ID)
-		if s.State == string(service.StateRunning) {
+		if s.State == string(jobreg.StateRunning) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -263,7 +264,7 @@ func TestCancelRunningJob(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("cancellation took %v, want < 2s", elapsed)
 	}
-	if done.State != string(service.StateCancelled) {
+	if done.State != string(jobreg.StateCancelled) {
 		t.Fatalf("state = %q, want cancelled", done.State)
 	}
 
@@ -273,7 +274,7 @@ func TestCancelRunningJob(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("post-cancel submit status = %d", code)
 	}
-	if after := pollTerminal(t, ts, j2.ID, 30*time.Second); after.State != string(service.StateDone) {
+	if after := pollTerminal(t, ts, j2.ID, 30*time.Second); after.State != string(jobreg.StateDone) {
 		t.Fatalf("post-cancel job state = %q, want done", after.State)
 	}
 }
@@ -295,7 +296,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		t.Fatalf("drain did not complete: %v", err)
 	}
 	_, done := getJob(t, ts, j.ID)
-	if done.State != string(service.StateDone) {
+	if done.State != string(jobreg.StateDone) {
 		t.Fatalf("drained job state = %q, want done", done.State)
 	}
 	code, _ = postJob(t, ts, body)
@@ -402,7 +403,7 @@ func TestServerSidePath(t *testing.T) {
 		t.Fatalf("submit status = %d", code)
 	}
 	done := pollTerminal(t, ts, j.ID, 30*time.Second)
-	if done.State != string(service.StateDone) {
+	if done.State != string(jobreg.StateDone) {
 		t.Fatalf("state = %q (err %q), want done", done.State, done.Error)
 	}
 	direct, err := igpart.IGMatch(h)
@@ -436,7 +437,7 @@ func TestSubmitKWayEndToEnd(t *testing.T) {
 		t.Fatalf("POST status %d, want 202", code)
 	}
 	j = pollTerminal(t, ts, j.ID, 30*time.Second)
-	if j.State != string(service.StateDone) {
+	if j.State != string(jobreg.StateDone) {
 		t.Fatalf("job state %q err %q, want done", j.State, j.Error)
 	}
 	res := j.Result

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"igpart/internal/cluster"
+	"igpart/internal/jobreg"
 	"igpart/internal/service"
 )
 
@@ -236,7 +237,7 @@ func TestCoordinatorPatchContract(t *testing.T) {
 	}
 	var base coordJobJSON
 	decodeWire(t, got, &base)
-	if done := pollClusterJob(t, cts, base.ID, 60*time.Second); done.State != string(service.StateDone) {
+	if done := pollClusterJob(t, cts, base.ID, 60*time.Second); done.State != string(jobreg.StateDone) {
 		t.Fatalf("base ended %q (%s)", done.State, done.Error)
 	}
 
@@ -251,7 +252,7 @@ func TestCoordinatorPatchContract(t *testing.T) {
 		t.Fatalf("delta job id %q, Location %q", dj.ID, got.header.Get("Location"))
 	}
 	final := pollClusterJob(t, cts, dj.ID, 60*time.Second)
-	if final.State != string(service.StateDone) || final.Backend != "b0" {
+	if final.State != string(jobreg.StateDone) || final.Backend != "b0" {
 		t.Fatalf("delta job ended %q on %q (%s), want done on b0", final.State, final.Backend, final.Error)
 	}
 	var res struct {

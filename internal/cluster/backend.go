@@ -11,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"igpart/internal/jobreg"
 )
 
 // Backend names one igpartd node: Name is the ring identity (stable
@@ -91,11 +93,19 @@ func IsNodeError(err error) bool { return isNodeError(err) }
 // reads; the result payload is relayed opaquely.
 type backendJob struct {
 	ID     string          `json:"id"`
-	State  string          `json:"state"`
+	State  jobreg.State    `json:"state"`
 	Cached bool            `json:"cached"`
 	Error  string          `json:"error"`
 	Result json.RawMessage `json:"result"`
 }
+
+// Backend call bounds: requestTimeout for each HTTP call, and the
+// tighter probeTimeout for each /readyz probe, so one hung backend
+// cannot stall a probe round for the whole fleet.
+const (
+	requestTimeout = 10 * time.Second
+	probeTimeout   = 2 * time.Second
+)
 
 // client wraps one backend with the coordinator's view of its health.
 // Health flips pessimistically on any node error and optimistically on
@@ -104,20 +114,15 @@ type backendJob struct {
 // instead of burning a failed attempt per job.
 type client struct {
 	b            Backend
-	hc           *http.Client
-	timeout      time.Duration
-	probeTimeout time.Duration
+	probeTimeout time.Duration // the probeTimeout constant, shortened by tests
 
 	mu      sync.Mutex
 	healthy bool
 	lastErr error
 }
 
-func newClient(b Backend, hc *http.Client, timeout, probeTimeout time.Duration) *client {
-	if probeTimeout <= 0 || probeTimeout > timeout {
-		probeTimeout = timeout
-	}
-	return &client{b: b, hc: hc, timeout: timeout, probeTimeout: probeTimeout, healthy: true}
+func newClient(b Backend) *client {
+	return &client{b: b, probeTimeout: probeTimeout, healthy: true}
 }
 
 // Healthy reports the coordinator's current belief about the backend.
@@ -138,7 +143,7 @@ func (c *client) setHealth(ok bool, err error) {
 // *nodeError; 4xx as plain errors (the request is at fault, not the
 // node). A success flips the backend healthy again.
 func (c *client) do(ctx context.Context, method, path string, body []byte) (int, []byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
+	ctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
@@ -151,7 +156,7 @@ func (c *client) do(ctx context.Context, method, path string, body []byte) (int,
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		ne := &nodeError{backend: c.b.Name, err: err}
 		c.setHealth(false, ne)

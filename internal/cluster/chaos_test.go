@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"igpart/internal/fault"
+	"igpart/internal/jobreg"
 	"igpart/internal/obs"
 )
 
@@ -75,7 +76,7 @@ func TestCoordCrashChaos(t *testing.T) {
 	if !ok {
 		t.Fatalf("replayed job %s not tracked under its original ID", id)
 	}
-	if snap := waitDone(t, job); snap.State != StateDone {
+	if snap := waitDone(t, job); snap.State != jobreg.StateDone {
 		t.Fatalf("replayed job ended %s: %s", snap.State, snap.Err)
 	}
 	if err := c2.Shutdown(context.Background()); err != nil {
@@ -119,7 +120,8 @@ func TestProbeTimeoutAndFailureCounter(t *testing.T) {
 	defer slow.Close() // LIFO: runs after the stall is released,
 	defer close(stall) // or Close would wait on the held handler forever
 
-	cl := newClient(Backend{Name: "slow", URL: slow.URL}, &http.Client{}, 10*time.Second, 30*time.Millisecond)
+	cl := newClient(Backend{Name: "slow", URL: slow.URL})
+	cl.probeTimeout = 30 * time.Millisecond
 	start := time.Now()
 	if cl.probe(context.Background()) {
 		t.Fatal("probe of a stalled backend reported healthy")
@@ -133,7 +135,6 @@ func TestProbeTimeoutAndFailureCounter(t *testing.T) {
 		// An unroutable address: every probe fails fast.
 		Backends:      []Backend{{Name: "dead", URL: "http://127.0.0.1:1"}},
 		ProbeInterval: 2 * time.Millisecond,
-		ProbeTimeout:  50 * time.Millisecond,
 		PollInterval:  2 * time.Millisecond,
 		Metrics:       reg,
 	})

@@ -20,23 +20,6 @@ import (
 	"igpart/internal/obs"
 )
 
-// The cluster job lifecycle mirrors the backend engine's: queued and
-// running are transient, the other three terminal. A cluster job is
-// "running" from first submission attempt onward — routing, failover
-// hops, and backoff all count as running time.
-const (
-	StateQueued    = "queued"
-	StateRunning   = "running"
-	StateDone      = "done"
-	StateFailed    = "failed"
-	StateCancelled = "cancelled"
-)
-
-// terminalState reports whether a state string is final.
-func terminalState(s string) bool {
-	return s == StateDone || s == StateFailed || s == StateCancelled
-}
-
 // Sentinel errors of the coordinator.
 var (
 	// ErrShutdown rejects submissions after Shutdown began.
@@ -58,33 +41,25 @@ var (
 	errAborted = errors.New("cluster: coordinator aborted")
 )
 
+// maxInflight bounds concurrently dispatched jobs; accepted jobs beyond
+// it wait, already journaled.
+const maxInflight = 128
+
 // Config sizes a Coordinator. Backends is the only required field.
 type Config struct {
 	// Backends is the boot-time fleet, routed by consistent hashing.
 	// UpdateBackends (or the backends-file watcher) changes it live.
 	Backends []Backend
-	// Replicas is the ring's virtual-node count per backend
-	// (default DefaultReplicas).
-	Replicas int
 	// Attempts bounds submissions per job across failover hops
 	// (default 2·current fleet size: every backend gets a second
 	// chance after a full lap of backoff).
 	Attempts int
-	// MaxInflight bounds concurrently dispatched jobs; accepted jobs
-	// beyond it wait, already journaled (default 128).
-	MaxInflight int
 	// PollInterval paces job status polls (default 50ms).
 	PollInterval time.Duration
 	// ProbeInterval paces the background /readyz prober; negative
 	// disables it (health then updates only from request outcomes),
 	// 0 means the default 500ms.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds each individual /readyz probe (default 2s,
-	// capped at RequestTimeout) so one hung backend cannot stall a
-	// probe round for the whole fleet.
-	ProbeTimeout time.Duration
-	// RequestTimeout bounds each backend HTTP call (default 10s).
-	RequestTimeout time.Duration
 	// RetryBaseDelay and RetryMaxDelay shape the capped exponential
 	// backoff between failover hops (defaults 100ms and 2s), computed
 	// by the shared fault.BackoffDelay machinery.
@@ -106,9 +81,6 @@ type Config struct {
 	// it was booted with: renew at TTL/3, depose itself if the lock
 	// file stops naming it.
 	HA *HAConfig
-	// HTTPClient overrides the backend transport (tests); nil uses a
-	// fresh http.Client.
-	HTTPClient *http.Client
 }
 
 // HAConfig carries the leadership state a coordinator must keep alive.
@@ -123,26 +95,11 @@ type HAConfig struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = DefaultReplicas
-	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 128
-	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = 50 * time.Millisecond
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 500 * time.Millisecond
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 10 * time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
-	}
-	if c.ProbeTimeout > c.RequestTimeout {
-		c.ProbeTimeout = c.RequestTimeout
 	}
 	if c.MinDwell == 0 {
 		c.MinDwell = 5 * time.Second
@@ -156,17 +113,15 @@ func (c Config) withDefaults() Config {
 	if c.Metrics == nil {
 		c.Metrics = new(obs.Registry)
 	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{}
-	}
 	return c
 }
 
-// Snapshot is the externally visible state of a cluster job.
+// Snapshot is the externally visible state of a cluster job. A cluster
+// job is running from its first submission attempt onward: routing,
+// failover hops and backoff all count as running time.
 type Snapshot struct {
-	ID    string
+	jobreg.Status
 	Batch string
-	State string
 	// Backend is the node currently (or last) responsible for the job;
 	// BackendJob its job ID there.
 	Backend    string
@@ -177,67 +132,42 @@ type Snapshot struct {
 	Resubmits int
 	// Cached reports the backend served the result from its cache.
 	Cached bool
-	Err    string
 	// Result is the backend's result JSON, relayed verbatim.
-	Result    json.RawMessage
-	Submitted time.Time
-	Finished  time.Time
+	Result json.RawMessage
 }
 
 // Job is one routed partitioning request tracked by the coordinator.
+// Its Done channel stays open across a crash-style abort: such jobs
+// complete on the next boot.
 type Job struct {
-	id    string
+	*jobreg.Lifecycle
 	batch string
 	key   string
 	body  json.RawMessage
-
-	ctx    context.Context
-	cancel context.CancelCauseFunc
-	done   chan struct{}
 
 	// ephemeral jobs (ECO deltas) are never journaled: their warm-start
 	// state is node-local and cannot be re-pinned by a fresh boot, so
 	// finish() skips the completion record too.
 	ephemeral bool
 
-	mu         sync.Mutex
-	state      string
+	// Guarded by the lifecycle's lock.
 	backend    string
 	backendJob string
 	attempts   int
 	resubmits  int
 	cached     bool
-	errMsg     string
 	result     json.RawMessage
-	submitted  time.Time
-	finished   time.Time
 }
-
-// ID returns the coordinator-assigned job identifier.
-func (j *Job) ID() string { return j.id }
-
-// Done is closed when the job reaches a terminal state. It stays open
-// across a crash-style abort — such jobs complete on the next boot.
-func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Snapshot returns the job's current externally visible state.
 func (j *Job) Snapshot() Snapshot {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return Snapshot{
-		ID:         j.id,
-		Batch:      j.batch,
-		State:      j.state,
-		Backend:    j.backend,
-		BackendJob: j.backendJob,
-		Attempts:   j.attempts,
-		Resubmits:  j.resubmits,
-		Cached:     j.cached,
-		Err:        j.errMsg,
-		Result:     j.result,
-		Submitted:  j.submitted,
-		Finished:   j.finished,
-	}
+	s := Snapshot{Batch: j.batch}
+	s.Status = j.Status(func() {
+		s.Backend, s.BackendJob = j.backend, j.backendJob
+		s.Attempts, s.Resubmits = j.attempts, j.resubmits
+		s.Cached, s.Result = j.cached, j.result
+	})
+	return s
 }
 
 // Batch groups jobs accepted by one SubmitBatch call.
@@ -279,7 +209,7 @@ type Coordinator struct {
 	leaseWG   sync.WaitGroup
 	leaseStop chan struct{}
 	stopOnce  sync.Once
-	sem       chan struct{} // MaxInflight dispatch slots
+	sem       chan struct{} // maxInflight dispatch slots
 
 	jobs *jobreg.Registry[*Job]
 
@@ -296,7 +226,7 @@ func New(cfg Config) (*Coordinator, error) {
 	for i, b := range cfg.Backends {
 		names[i] = b.Name
 	}
-	ring, err := NewRing(names, cfg.Replicas)
+	ring, err := NewRing(names)
 	if err != nil {
 		return nil, err
 	}
@@ -313,11 +243,11 @@ func New(cfg Config) (*Coordinator, error) {
 		abort:     abort,
 		probeStop: make(chan struct{}),
 		leaseStop: make(chan struct{}),
-		sem:       make(chan struct{}, cfg.MaxInflight),
+		sem:       make(chan struct{}, maxInflight),
 		jobs:      jobreg.New[*Job](keepFinished),
 	}
 	for _, b := range cfg.Backends {
-		c.clients[b.Name] = newClient(b, cfg.HTTPClient, cfg.RequestTimeout, cfg.ProbeTimeout)
+		c.clients[b.Name] = newClient(b)
 	}
 	c.reg.Gauge("cluster.backends_healthy").Set(float64(len(cfg.Backends)))
 	c.reg.Gauge("cluster.backends_total").Set(float64(len(cfg.Backends)))
@@ -429,9 +359,9 @@ func (c *Coordinator) prober() {
 }
 
 // probeAll probes all backends concurrently and updates the healthy
-// gauge. Each probe carries its own ProbeTimeout-bounded context (see
+// gauge. Each probe carries its own probeTimeout-bounded context (see
 // client.probe), so one hung backend delays the round by at most that
-// timeout instead of the full RequestTimeout.
+// timeout instead of the full requestTimeout.
 func (c *Coordinator) probeAll() {
 	c.topoMu.RLock()
 	clients := make([]*client, 0, len(c.clients))
@@ -506,7 +436,7 @@ func (c *Coordinator) accept(batch string, keys []string, bodies []json.RawMessa
 	for i, id := range ids {
 		if err := c.journal.Accept(id, batch, keys[i], bodies[i]); err != nil {
 			for _, prev := range ids[:i] {
-				if c.journal.Complete(prev, StateCancelled) != nil {
+				if c.journal.Complete(prev, jobreg.StateCancelled) != nil {
 					// Best effort: an unretracted accept replays on the next
 					// boot, exactly like a crash right after it.
 					c.reg.Counter("cluster.journal.write_errors").Add(1)
@@ -552,7 +482,7 @@ func (c *Coordinator) SubmitDelta(ctx context.Context, baseID string, body json.
 		return nil, fmt.Errorf("%w: %q", ErrUnknownBase, baseID)
 	}
 	snap := base.Snapshot()
-	if snap.State != StateDone || snap.Backend == "" || snap.BackendJob == "" {
+	if snap.State != jobreg.StateDone || snap.Backend == "" || snap.BackendJob == "" {
 		return nil, fmt.Errorf("%w: job %s is %s", ErrNotWarmStartable, baseID, snap.State)
 	}
 	c.topoMu.RLock()
@@ -581,21 +511,16 @@ func (c *Coordinator) SubmitDelta(ctx context.Context, baseID string, body json.
 	id := c.jobs.NextID("cjob")
 	c.mu.Unlock()
 
-	jctx, cancel := context.WithCancelCause(c.ctx)
 	j := &Job{
-		id:        id,
-		key:       snap.ID, // lineage, not a ring key: deltas never route
-		body:      body,
-		ephemeral: true,
-		ctx:       jctx,
-		cancel:    cancel,
-		done:      make(chan struct{}),
-		state:     StateRunning,
-		submitted: time.Now(),
+		Lifecycle:  jobreg.NewLifecycle(c.ctx, id, 0),
+		key:        snap.ID, // lineage, not a ring key: deltas never route
+		body:       body,
+		ephemeral:  true,
+		backend:    snap.Backend,
+		backendJob: bid,
+		attempts:   1,
 	}
-	j.backend = snap.Backend
-	j.backendJob = bid
-	j.attempts = 1
+	j.Start() // the backend already runs it
 	c.jobs.Add(id, j)
 	c.reg.Counter("cluster.deltas_submitted").Add(1)
 	c.dispatch(j, func() { c.runPinned(j, cl) })
@@ -603,7 +528,7 @@ func (c *Coordinator) SubmitDelta(ctx context.Context, baseID string, body json.
 }
 
 // dispatch runs fn for job j on its own goroutine, holding one of the
-// MaxInflight dispatch slots; a job whose context dies while it waits
+// maxInflight dispatch slots; a job whose context dies while it waits
 // for a slot is finalized instead.
 func (c *Coordinator) dispatch(j *Job, fn func()) {
 	c.wg.Add(1)
@@ -611,7 +536,7 @@ func (c *Coordinator) dispatch(j *Job, fn func()) {
 		defer c.wg.Done()
 		select {
 		case c.sem <- struct{}{}:
-		case <-j.ctx.Done():
+		case <-j.Context().Done():
 			c.finishAborted(j)
 			return
 		}
@@ -627,11 +552,11 @@ func (c *Coordinator) dispatch(j *Job, fn func()) {
 func (c *Coordinator) runPinned(j *Job, cl *client) {
 	bj, err := c.pollUntilTerminal(j, cl, j.backendJob)
 	switch {
-	case err != nil && j.ctx.Err() != nil:
+	case err != nil && j.Context().Err() != nil:
 		c.cancelBackend(cl, j.backendJob)
 		c.finishAborted(j)
 	case err != nil:
-		c.finish(j, StateFailed, nil,
+		c.finish(j, jobreg.StateFailed, nil,
 			fmt.Errorf("cluster: pinned backend %s lost the delta job: %w", cl.b.Name, err))
 	default:
 		c.finish(j, bj.State, bj, nil)
@@ -640,17 +565,11 @@ func (c *Coordinator) runPinned(j *Job, cl *client) {
 
 // start registers and dispatches a job (newly accepted or replayed).
 func (c *Coordinator) start(id, batch, key string, body json.RawMessage) *Job {
-	ctx, cancel := context.WithCancelCause(c.ctx)
 	j := &Job{
-		id:        id,
+		Lifecycle: jobreg.NewLifecycle(c.ctx, id, 0),
 		batch:     batch,
 		key:       key,
 		body:      body,
-		ctx:       ctx,
-		cancel:    cancel,
-		done:      make(chan struct{}),
-		state:     StateQueued,
-		submitted: time.Now(),
 	}
 	c.jobs.Add(id, j)
 	c.reg.Counter("cluster.jobs_submitted").Add(1)
@@ -683,7 +602,7 @@ func (c *Coordinator) Get(id string) (*Job, bool) { return c.jobs.Get(id) }
 func (c *Coordinator) Cancel(id string) (*Job, bool) {
 	j, ok := c.Get(id)
 	if ok {
-		j.cancel(ErrCancelled)
+		j.Cancel(ErrCancelled)
 	}
 	return j, ok
 }
@@ -693,26 +612,24 @@ func (c *Coordinator) Cancel(id string) (*Job, bool) {
 // in ring order with capped, jittered backoff — at most cfg.Attempts
 // submissions in total.
 func (c *Coordinator) run(j *Job) {
-	order := c.Ring().Route(j.key)
-	// FNV-1a over the job ID: per-job deterministic jitter streams, the
-	// same scheme the backend engine uses for its solve retries.
-	seed := uint64(14695981039346656037)
-	for i := 0; i < len(j.id); i++ {
-		seed = (seed ^ uint64(j.id[i])) * 1099511628211
+	if !j.Start() {
+		c.finishAborted(j)
+		return
 	}
+	ctx := j.Context()
+	order := c.Ring().Route(j.key)
+	seed := fault.JitterSeed(j.ID())
 	var lastErr error
 	budget := c.attemptBudget()
 	for attempt := 1; attempt <= budget; attempt++ {
-		if j.ctx.Err() != nil {
+		if ctx.Err() != nil {
 			c.finishAborted(j)
 			return
 		}
 		if attempt > 1 {
 			c.reg.Counter("cluster.failover.resubmits").Add(1)
-			j.mu.Lock()
-			j.resubmits++
-			j.mu.Unlock()
-			if sleepCtx(j.ctx, fault.BackoffDelay(attempt-1, c.cfg.RetryBaseDelay, c.cfg.RetryMaxDelay, seed)) != nil {
+			j.Update(func() { j.resubmits++ })
+			if sleepCtx(ctx, fault.BackoffDelay(attempt-1, c.cfg.RetryBaseDelay, c.cfg.RetryMaxDelay, seed)) != nil {
 				c.finishAborted(j)
 				return
 			}
@@ -725,19 +642,14 @@ func (c *Coordinator) run(j *Job) {
 			cl = c.pick(order, attempt-1)
 		}
 		if cl == nil {
-			c.finish(j, StateFailed, nil, errors.New("cluster: no routable backend in the current fleet"))
+			c.finish(j, jobreg.StateFailed, nil, errors.New("cluster: no routable backend in the current fleet"))
 			return
 		}
-		j.mu.Lock()
-		j.state = StateRunning
-		j.backend = cl.b.Name
-		j.backendJob = ""
-		j.attempts = attempt
-		j.mu.Unlock()
+		j.Update(func() { j.backend, j.backendJob, j.attempts = cl.b.Name, "", attempt })
 
-		bid, err := cl.submit(j.ctx, j.body)
+		bid, err := cl.submit(ctx, j.body)
 		if err != nil {
-			if j.ctx.Err() != nil {
+			if ctx.Err() != nil {
 				c.finishAborted(j)
 				return
 			}
@@ -746,16 +658,14 @@ func (c *Coordinator) run(j *Job) {
 				continue
 			}
 			// Permanent rejection (a 400): no backend would accept it.
-			c.finish(j, StateFailed, nil, err)
+			c.finish(j, jobreg.StateFailed, nil, err)
 			return
 		}
-		j.mu.Lock()
-		j.backendJob = bid
-		j.mu.Unlock()
+		j.Update(func() { j.backendJob = bid })
 
 		bj, err := c.pollUntilTerminal(j, cl, bid)
 		switch {
-		case err != nil && j.ctx.Err() != nil:
+		case err != nil && ctx.Err() != nil:
 			// Cancelled (or aborted) mid-poll: pass the cancel on to the
 			// backend so it stops computing a result nobody wants.
 			c.cancelBackend(cl, bid)
@@ -769,7 +679,7 @@ func (c *Coordinator) run(j *Job) {
 			return
 		}
 	}
-	c.finish(j, StateFailed, nil,
+	c.finish(j, jobreg.StateFailed, nil,
 		fmt.Errorf("cluster: no backend completed the job after %d attempts: %w", budget, lastErr))
 }
 
@@ -782,14 +692,15 @@ const pollErrLimit = 3
 // pollUntilTerminal polls the backend until the job is terminal there.
 // It returns a node-level error when the backend stops answering.
 func (c *Coordinator) pollUntilTerminal(j *Job, cl *client, bid string) (*backendJob, error) {
+	ctx := j.Context()
 	consecutive := 0
 	for {
-		if err := sleepCtx(j.ctx, c.cfg.PollInterval); err != nil {
+		if err := sleepCtx(ctx, c.cfg.PollInterval); err != nil {
 			return nil, err
 		}
-		bj, err := cl.poll(j.ctx, bid)
+		bj, err := cl.poll(ctx, bid)
 		if err != nil {
-			if j.ctx.Err() != nil {
+			if ctx.Err() != nil {
 				return nil, err
 			}
 			consecutive++
@@ -802,7 +713,7 @@ func (c *Coordinator) pollUntilTerminal(j *Job, cl *client, bid string) (*backen
 			continue
 		}
 		consecutive = 0
-		if terminalState(bj.State) {
+		if bj.State.Terminal() {
 			return bj, nil
 		}
 	}
@@ -843,47 +754,45 @@ func (c *Coordinator) cancelBackend(cl *client, bid string) {
 	cl.cancel(ctx, bid)
 }
 
-// finish freezes the job in a terminal state, journals the completion,
-// and counts the outcome.
-func (c *Coordinator) finish(j *Job, state string, bj *backendJob, err error) {
-	j.mu.Lock()
-	j.state = state
-	if bj != nil {
-		j.cached = bj.Cached
-		j.result = bj.Result
-		j.errMsg = bj.Error
+// outcomeCounters names the counter each terminal state increments.
+var outcomeCounters = map[jobreg.State]string{
+	jobreg.StateDone:      "cluster.jobs_completed",
+	jobreg.StateFailed:    "cluster.jobs_failed",
+	jobreg.StateCancelled: "cluster.jobs_cancelled",
+}
+
+// finish is the coordinator's one terminal transition. The first call
+// wins: it records the outcome (bj, when the backend reported one; err
+// overrides the backend's error), then journals the completion, counts
+// it and lets the registry prune, all before Done closes.
+func (c *Coordinator) finish(j *Job, state jobreg.State, bj *backendJob, err error) {
+	if err == nil && bj != nil && bj.Error != "" {
+		err = errors.New(bj.Error)
 	}
-	if err != nil {
-		j.errMsg = err.Error()
-	}
-	j.finished = time.Now()
-	j.mu.Unlock()
-	if jerr := c.completeJournal(j, state); jerr != nil {
-		// A completion that could not be journaled means the job will be
-		// re-run on the next boot — wasteful (the backend cache usually
-		// absorbs it) but never wrong.
-		c.reg.Counter("cluster.journal.write_errors").Add(1)
-	}
-	switch state {
-	case StateDone:
-		c.reg.Counter("cluster.jobs_completed").Add(1)
-	case StateCancelled:
-		c.reg.Counter("cluster.jobs_cancelled").Add(1)
-	default:
-		c.reg.Counter("cluster.jobs_failed").Add(1)
-	}
-	c.jobs.Finish(j.id)
-	close(j.done)
+	j.Finish(state, err, func() {
+		if bj != nil {
+			j.cached, j.result = bj.Cached, bj.Result
+		}
+	}, func() {
+		if jerr := c.completeJournal(j, state); jerr != nil {
+			// A completion that could not be journaled means the job will
+			// be re-run on the next boot — wasteful (the backend cache
+			// usually absorbs it) but never wrong.
+			c.reg.Counter("cluster.journal.write_errors").Add(1)
+		}
+		c.reg.Counter(outcomeCounters[state]).Add(1)
+		c.jobs.Finish(j.ID())
+	})
 }
 
 // completeJournal writes the job's completion record; ephemeral jobs
 // (deltas) were never accepted in the journal, so completing them
 // would strand a done-without-accept record for nothing.
-func (c *Coordinator) completeJournal(j *Job, state string) error {
+func (c *Coordinator) completeJournal(j *Job, state jobreg.State) error {
 	if j.ephemeral {
 		return nil
 	}
-	return c.journal.Complete(j.id, state)
+	return c.journal.Complete(j.ID(), state)
 }
 
 // finishAborted resolves a job whose context died, by cause: a user
@@ -891,10 +800,11 @@ func (c *Coordinator) completeJournal(j *Job, state string) error {
 // simulation, drain deadline) leaves the job non-terminal and
 // unjournaled so the next boot replays it.
 func (c *Coordinator) finishAborted(j *Job) {
-	if errors.Is(context.Cause(j.ctx), errAborted) {
+	cause := context.Cause(j.Context())
+	if errors.Is(cause, errAborted) {
 		return
 	}
-	c.finish(j, StateCancelled, nil, context.Cause(j.ctx))
+	c.finish(j, jobreg.StateCancelled, nil, cause)
 }
 
 // BackendStatus is one backend's aggregated health view.

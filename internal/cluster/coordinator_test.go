@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"igpart/internal/jobreg"
 	"igpart/internal/obs"
 )
 
@@ -30,7 +31,7 @@ type fakeBackend struct {
 
 type fakeJob struct {
 	seed   int64
-	state  string
+	state  jobreg.State
 	result json.RawMessage
 }
 
@@ -66,9 +67,9 @@ func (f *fakeBackend) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewDecoder(r.Body).Decode(&body)
 	f.nextID++
 	id := fmt.Sprintf("fj-%d", f.nextID)
-	j := &fakeJob{seed: body.Seed, state: StateRunning}
+	j := &fakeJob{seed: body.Seed, state: jobreg.StateRunning}
 	if !f.hold {
-		j.state = StateDone
+		j.state = jobreg.StateDone
 		j.result = json.RawMessage(fmt.Sprintf(`{"algo":"igmatch","ratio_cut":2.5,"seed":%d}`, body.Seed))
 	}
 	f.jobs[id] = j
@@ -98,8 +99,8 @@ func (f *fakeBackend) handleCancel(w http.ResponseWriter, r *http.Request) {
 	defer f.mu.Unlock()
 	id := r.PathValue("id")
 	f.cancelled = append(f.cancelled, id)
-	if j, ok := f.jobs[id]; ok && !terminalState(j.state) {
-		j.state = StateCancelled
+	if j, ok := f.jobs[id]; ok && !j.state.Terminal() {
+		j.state = jobreg.StateCancelled
 	}
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprint(w, `{}`)
@@ -110,8 +111,8 @@ func (f *fakeBackend) release(seed int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, j := range f.jobs {
-		if j.seed == seed && j.state == StateRunning {
-			j.state = StateDone
+		if j.seed == seed && j.state == jobreg.StateRunning {
+			j.state = jobreg.StateDone
 			j.result = json.RawMessage(fmt.Sprintf(`{"algo":"igmatch","ratio_cut":2.5,"seed":%d}`, j.seed))
 		}
 	}
@@ -186,7 +187,7 @@ func TestCoordinatorRelaysResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := waitDone(t, j)
-	if snap.State != StateDone {
+	if snap.State != jobreg.StateDone {
 		t.Fatalf("state %s, err %q", snap.State, snap.Err)
 	}
 	if snap.Attempts != 1 || snap.Resubmits != 0 {
@@ -219,7 +220,7 @@ func TestCoordinatorFailoverDeadOwner(t *testing.T) {
 	owner.srv.Close()
 
 	snap := waitDone(t, mustSubmit(t, c, key, 1))
-	if snap.State != StateDone {
+	if snap.State != jobreg.StateDone {
 		t.Fatalf("state %s, err %q", snap.State, snap.Err)
 	}
 	if snap.Resubmits < 1 {
@@ -257,7 +258,7 @@ func TestCoordinatorFailoverMidRun(t *testing.T) {
 	owner.srv.Close()
 
 	snap := waitDone(t, j)
-	if snap.State != StateDone {
+	if snap.State != jobreg.StateDone {
 		t.Fatalf("state %s, err %q", snap.State, snap.Err)
 	}
 	if snap.Resubmits < 1 {
@@ -275,7 +276,7 @@ func TestCoordinatorAllBackendsDead(t *testing.T) {
 	b0.srv.Close()
 	b1.srv.Close()
 	snap := waitDone(t, mustSubmit(t, c, "all-dead", 3))
-	if snap.State != StateFailed {
+	if snap.State != jobreg.StateFailed {
 		t.Fatalf("state %s, want failed", snap.State)
 	}
 	if snap.Attempts != 3 {
@@ -297,11 +298,35 @@ func TestCoordinatorPermanentRejection(t *testing.T) {
 	owner.mu.Unlock()
 
 	snap := waitDone(t, mustSubmit(t, c, key, 4))
-	if snap.State != StateFailed || snap.Attempts != 1 || snap.Resubmits != 0 {
+	if snap.State != jobreg.StateFailed || snap.Attempts != 1 || snap.Resubmits != 0 {
 		t.Fatalf("state=%s attempts=%d resubmits=%d, want failed/1/0", snap.State, snap.Attempts, snap.Resubmits)
 	}
 	if len(other.seeds()) != 0 {
 		t.Errorf("a 400 must not fail over, but the other backend got %v", other.seeds())
+	}
+}
+
+// A finished job releases its context, so the coordinator's root
+// context does not keep one child per finished job until it exits.
+func TestCoordinatorReleasesFinishedJobContext(t *testing.T) {
+	c, b0, b1 := testCluster(t, Config{})
+	done := mustSubmit(t, c, "release-done-key", 8)
+	if snap := waitDone(t, done); snap.State != jobreg.StateDone {
+		t.Fatalf("state %s, err %v", snap.State, snap.Err)
+	}
+	key := "release-failed-key"
+	owner, _ := byName(c, b0, b1, c.Ring().Owner(key))
+	owner.mu.Lock()
+	owner.rejectWith = http.StatusBadRequest
+	owner.mu.Unlock()
+	failed := mustSubmit(t, c, key, 9)
+	if snap := waitDone(t, failed); snap.State != jobreg.StateFailed {
+		t.Fatalf("state %s, want failed", snap.State)
+	}
+	for _, j := range []*Job{done, failed} {
+		if j.Context().Err() == nil {
+			t.Errorf("finished job %s still holds a live context", j.ID())
+		}
 	}
 }
 
@@ -316,7 +341,7 @@ func TestCoordinatorBackpressureFailsOver(t *testing.T) {
 	owner.mu.Unlock()
 
 	snap := waitDone(t, mustSubmit(t, c, key, 5))
-	if snap.State != StateDone {
+	if snap.State != jobreg.StateDone {
 		t.Fatalf("state %s, err %q", snap.State, snap.Err)
 	}
 	if len(other.seeds()) != 1 || snap.Resubmits < 1 {
@@ -344,7 +369,7 @@ func TestCoordinatorCancelPropagates(t *testing.T) {
 		t.Fatal("cancel: unknown job")
 	}
 	snap := waitDone(t, j)
-	if snap.State != StateCancelled {
+	if snap.State != jobreg.StateCancelled {
 		t.Fatalf("state %s, want cancelled", snap.State)
 	}
 	// The backend's copy was cancelled too (best effort, but in-process
@@ -463,7 +488,7 @@ func TestCoordinatorJournalRecovery(t *testing.T) {
 		if !ok {
 			t.Fatalf("replayed job %s not tracked", id)
 		}
-		if snap := waitDone(t, j); snap.State != StateDone {
+		if snap := waitDone(t, j); snap.State != jobreg.StateDone {
 			t.Fatalf("replayed job %s ended %s: %s", id, snap.State, snap.Err)
 		}
 	}

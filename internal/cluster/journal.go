@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"igpart/internal/fault"
+	"igpart/internal/jobreg"
 )
 
 // errInjectedWrite marks a journal append failed by the
@@ -46,7 +47,7 @@ type Record struct {
 	Batch string          `json:"batch,omitempty"`
 	Key   string          `json:"key,omitempty"`
 	Body  json.RawMessage `json:"body,omitempty"`
-	State string          `json:"state,omitempty"`
+	State jobreg.State    `json:"state,omitempty"`
 
 	// Lease fields (T == "lease").
 	Term     int64  `json:"term,omitempty"`
@@ -297,7 +298,7 @@ func (j *Journal) Accept(job, batch, key string, body json.RawMessage) error {
 }
 
 // Complete journals a job's terminal state.
-func (j *Journal) Complete(job, state string) error {
+func (j *Journal) Complete(job string, state jobreg.State) error {
 	return j.append(Record{T: "done", Job: job, State: state})
 }
 

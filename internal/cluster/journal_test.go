@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"igpart/internal/fault"
+	"igpart/internal/jobreg"
 )
 
 func TestJournalRoundTrip(t *testing.T) {
@@ -28,7 +29,7 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Complete("cjob-2", StateDone); err != nil {
+	if err := j.Complete("cjob-2", jobreg.StateDone); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -91,7 +92,7 @@ func TestJournalTornTail(t *testing.T) {
 	// The torn tail must be truncated, not just skipped: an append after
 	// recovery has to start on a clean line, or the NEXT boot would see
 	// mid-file corruption and refuse the journal entirely.
-	if err := j2.Complete("cjob-1", StateDone); err != nil {
+	if err := j2.Complete("cjob-1", jobreg.StateDone); err != nil {
 		t.Fatal(err)
 	}
 	if err := j2.Close(); err != nil {
@@ -191,7 +192,7 @@ func TestJournalCompaction(t *testing.T) {
 	// ID — is among the completed, so without the mark a recovered
 	// coordinator would mint cjob-5 again.
 	for _, id := range []string{"cjob-1", "cjob-3", "cjob-5"} {
-		if err := j.Complete(id, StateDone); err != nil {
+		if err := j.Complete(id, jobreg.StateDone); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,7 +230,7 @@ func TestJournalCompaction(t *testing.T) {
 	if len(after) >= len(before) {
 		t.Fatalf("compaction did not shrink the file: %d -> %d bytes", len(before), len(after))
 	}
-	if err := j2.Complete("cjob-2", StateDone); err != nil {
+	if err := j2.Complete("cjob-2", jobreg.StateDone); err != nil {
 		t.Fatal(err)
 	}
 	j2.Close()
@@ -270,7 +271,7 @@ func TestJournalCompactionIdempotent(t *testing.T) {
 	if err := j.Accept("cjob-2", "", "k", json.RawMessage(`{}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Complete("cjob-1", StateDone); err != nil {
+	if err := j.Complete("cjob-1", jobreg.StateDone); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -325,7 +326,7 @@ func TestJournalAppendAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	if err := j.Complete("cjob-9", StateDone); err != nil {
+	if err := j.Complete("cjob-9", jobreg.StateDone); err != nil {
 		t.Fatalf("append after close: %v", err)
 	}
 	var nilJ *Journal
@@ -362,7 +363,7 @@ func TestJournalCompactionPreservesNewestLease(t *testing.T) {
 		if err := j.Accept(id, "", "k", json.RawMessage(`{}`)); err != nil {
 			t.Fatal(err)
 		}
-		if err := j.Complete(id, StateDone); err != nil {
+		if err := j.Complete(id, jobreg.StateDone); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -410,7 +411,7 @@ func TestJournalCompactedLeaseRecover(t *testing.T) {
 		}
 	}
 	for _, id := range []string{"cjob-6", "cjob-8"} {
-		if err := j.Complete(id, StateDone); err != nil {
+		if err := j.Complete(id, jobreg.StateDone); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"igpart/internal/jobreg"
 	"igpart/internal/obs"
 )
 
@@ -238,7 +239,7 @@ func TestStandbyTakeoverAfterLeaderCrash(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Complete("cjob-2", StateDone); err != nil {
+	if err := j.Complete("cjob-2", jobreg.StateDone); err != nil {
 		t.Fatal(err)
 	}
 
@@ -313,7 +314,7 @@ func TestStandbyTailSurvivesCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i != 7 {
-			if err := j.Complete(id, StateDone); err != nil {
+			if err := j.Complete(id, jobreg.StateDone); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -83,7 +83,7 @@ func (c *Coordinator) UpdateBackends(backends []Backend) (MembershipChange, erro
 	for i, b := range next {
 		names[i] = b.Name
 	}
-	ring, err := NewRing(names, c.cfg.Replicas)
+	ring, err := NewRing(names)
 	if err != nil {
 		return MembershipChange{}, err
 	}
@@ -97,7 +97,7 @@ func (c *Coordinator) UpdateBackends(backends []Backend) (MembershipChange, erro
 		if old := c.clients[b.Name]; old != nil && old.b.URL == b.URL {
 			clients[b.Name] = old
 		} else {
-			clients[b.Name] = newClient(b, c.cfg.HTTPClient, c.cfg.RequestTimeout, c.cfg.ProbeTimeout)
+			clients[b.Name] = newClient(b)
 		}
 	}
 	for _, name := range ch.Removed {

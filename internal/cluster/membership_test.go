@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"igpart/internal/jobreg"
 )
 
 // Growing and shrinking the fleet live: adds steal only their
@@ -41,7 +43,7 @@ func TestUpdateBackendsAddRemove(t *testing.T) {
 	// Work still lands, including on the joiner for keys it now owns.
 	for seed := int64(1); seed <= 8; seed++ {
 		j := mustSubmit(t, c, string(rune('a'+seed))+"-memb-key", seed)
-		if snap := waitDone(t, j); snap.State != StateDone {
+		if snap := waitDone(t, j); snap.State != jobreg.StateDone {
 			t.Fatalf("seed %d ended %s: %s", seed, snap.State, snap.Err)
 		}
 	}
@@ -94,14 +96,14 @@ func TestUpdateBackendsDrainsInflight(t *testing.T) {
 	// The departed backend finishes the held job; the coordinator is
 	// still polling it through the retained client.
 	b1.release(7)
-	if snap := waitDone(t, j); snap.State != StateDone || snap.Backend != "b1" {
+	if snap := waitDone(t, j); snap.State != jobreg.StateDone || snap.Backend != "b1" {
 		t.Fatalf("drained job: state %s on %s (err %s)", snap.State, snap.Backend, snap.Err)
 	}
 
 	// The same key now routes to the survivor.
 	b0.setHold(false)
 	j2 := mustSubmit(t, c, key, 8)
-	if snap := waitDone(t, j2); snap.State != StateDone || snap.Backend != "b0" {
+	if snap := waitDone(t, j2); snap.State != jobreg.StateDone || snap.Backend != "b0" {
 		t.Fatalf("post-remove job: state %s on %s", snap.State, snap.Backend)
 	}
 }

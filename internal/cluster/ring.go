@@ -15,12 +15,12 @@ import (
 	"sort"
 )
 
-// DefaultReplicas is the virtual-node count per backend. 128 vnodes
-// keep per-backend key shares within a few tens of percent of even
-// while the ring stays small enough to rebuild on every topology
-// change (rebuilds happen on membership reloads, which are operator
-// actions, not hot-path events).
-const DefaultReplicas = 128
+// replicas is the virtual-node count per backend. 128 vnodes keep
+// per-backend key shares within a few tens of percent of even while the
+// ring stays small enough to rebuild on every topology change (rebuilds
+// happen on membership reloads, which are operator actions, not
+// hot-path events).
+const replicas = 128
 
 // Ring is an immutable consistent-hash ring over named backends. Keys
 // and virtual nodes share one hash space; a key belongs to the first
@@ -33,16 +33,12 @@ type Ring struct {
 	owners []string // owners[i] owns hashes[i]
 }
 
-// NewRing builds a ring with the given virtual-node count per backend
-// (<= 0 means DefaultReplicas). Backend names must be non-empty and
-// distinct — they are the ring's identity, so a duplicate would
-// silently double one backend's share.
-func NewRing(names []string, replicas int) (*Ring, error) {
+// NewRing builds a ring with replicas virtual nodes per backend.
+// Backend names must be non-empty and distinct — they are the ring's
+// identity, so a duplicate would silently double one backend's share.
+func NewRing(names []string) (*Ring, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one backend")
-	}
-	if replicas <= 0 {
-		replicas = DefaultReplicas
 	}
 	seen := make(map[string]bool, len(names))
 	r := &Ring{

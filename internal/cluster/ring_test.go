@@ -32,7 +32,7 @@ func backendNames(n int) []string {
 func TestRingBalance(t *testing.T) {
 	keys := testKeys(20000)
 	for n := 2; n <= 8; n++ {
-		r, err := NewRing(backendNames(n), 0)
+		r, err := NewRing(backendNames(n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestRingBalance(t *testing.T) {
 func TestRingMinimalMovement(t *testing.T) {
 	keys := testKeys(10000)
 	names := backendNames(5)
-	before, err := NewRing(names, 0)
+	before, err := NewRing(names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRingMinimalMovement(t *testing.T) {
 			survivors = append(survivors, n)
 		}
 	}
-	after, err := NewRing(survivors, 0)
+	after, err := NewRing(survivors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +96,8 @@ func TestRingMinimalMovement(t *testing.T) {
 // rebooted one) route a resubmission to the same secondary.
 func TestRingDeterministicRouting(t *testing.T) {
 	names := backendNames(4)
-	r1, _ := NewRing(names, 0)
-	r2, _ := NewRing(names, 0)
+	r1, _ := NewRing(names)
+	r2, _ := NewRing(names)
 	for _, k := range testKeys(500) {
 		o1, o2 := r1.Route(k), r2.Route(k)
 		if len(o1) != len(names) || len(o2) != len(names) {
@@ -120,13 +120,13 @@ func TestRingDeterministicRouting(t *testing.T) {
 }
 
 func TestRingRejectsBadConfig(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Error("empty backend list accepted")
 	}
-	if _, err := NewRing([]string{"a", "a"}, 0); err == nil {
+	if _, err := NewRing([]string{"a", "a"}); err == nil {
 		t.Error("duplicate backend name accepted")
 	}
-	if _, err := NewRing([]string{"a", ""}, 0); err == nil {
+	if _, err := NewRing([]string{"a", ""}); err == nil {
 		t.Error("empty backend name accepted")
 	}
 }
@@ -180,11 +180,11 @@ func TestParseBackendsRejectsDuplicates(t *testing.T) {
 // move nothing, adding one node to k moves about 1/(k+1) of the keys,
 // and the sample is deterministic call to call.
 func TestMovedKeysEstimatesChurn(t *testing.T) {
-	r2, err := NewRing([]string{"b0", "b1"}, 0)
+	r2, err := NewRing([]string{"b0", "b1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r3, err := NewRing([]string{"b0", "b1", "b2"}, 0)
+	r3, err := NewRing([]string{"b0", "b1", "b2"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,3 +32,13 @@ func BackoffDelay(attempt int, base, max time.Duration, seed uint64) time.Durati
 	frac := float64(Splitmix64(seed^uint64(attempt))>>11) / (1 << 53)
 	return d/2 + time.Duration(frac*float64(d/2))
 }
+
+// JitterSeed is a job's BackoffDelay seed: FNV-1a over the job ID, so
+// distinct jobs get distinct but reproducible jitter streams.
+func JitterSeed(id string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(id); i++ {
+		h = (h ^ uint64(id[i])) * 1099511628211
+	}
+	return h
+}

@@ -1,11 +1,17 @@
-// Package jobreg is the job registry shared by the partition engine
-// (internal/service) and the cluster coordinator (internal/cluster): ID
-// allocation, lookup by ID, and bounded retention of finished jobs.
+// Package jobreg is the job registry and the job lifecycle shared by
+// the partition engine (internal/service) and the cluster coordinator
+// (internal/cluster).
 //
-// The registry owns no lifecycle. Its owner decides when a job is
-// accepted (Add) and when it is terminal (Finish), and keeps its own
-// lock for intake decisions such as a closed check; the registry's lock
-// only guards the table itself, so callers may hold theirs around it.
+// Registry does ID allocation, lookup by ID, and bounded retention of
+// finished jobs. It is generic over the job type and knows nothing of
+// the lifecycle: its owner decides when a job is accepted (Add) and
+// when it is terminal (Finish), and keeps its own lock for intake
+// decisions such as a closed check; the registry's lock only guards the
+// table itself, so callers may hold theirs around it.
+//
+// Lifecycle is the state machine both owners' job types embed: the five
+// states, the job's context, its Done channel, and a terminal-wins
+// Finish that releases the context.
 package jobreg
 
 import (

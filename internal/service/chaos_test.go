@@ -8,6 +8,7 @@ import (
 
 	"igpart"
 	"igpart/internal/fault"
+	"igpart/internal/jobreg"
 )
 
 // mustInjector builds an injector from rules, failing the test on a bad
@@ -23,7 +24,7 @@ func mustInjector(t *testing.T, seed int64, rules ...fault.Rule) *fault.Injector
 
 // TestChaosWorkerPanicSurvives100 is the headline panic-isolation test:
 // with worker.panic armed for exactly 100 fires, the engine must absorb
-// 100 consecutive panicking jobs — every one terminal in StateFailed
+// 100 consecutive panicking jobs — every one terminal in jobreg.StateFailed
 // with a structured PanicError carrying a stack — and then complete a
 // clean job, with panics_recovered matching the injection count and the
 // degraded-health streak resetting.
@@ -44,7 +45,7 @@ func TestChaosWorkerPanicSurvives100(t *testing.T) {
 	}
 	for i, j := range jobs {
 		s := j.Wait(context.Background())
-		if s.State != StateFailed {
+		if s.State != jobreg.StateFailed {
 			t.Fatalf("job %d: state=%s err=%v, want failed", i, s.State, s.Err)
 		}
 		pe, ok := fault.AsPanic(s.Err)
@@ -72,7 +73,7 @@ func TestChaosWorkerPanicSurvives100(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-chaos submit: %v", err)
 	}
-	if s := j.Wait(context.Background()); s.State != StateDone {
+	if s := j.Wait(context.Background()); s.State != jobreg.StateDone {
 		t.Fatalf("post-chaos job: state=%s err=%v, want done", s.State, s.Err)
 	}
 	if hl := e.Health(); !hl.Ready || hl.PanicStreak != 0 {
@@ -95,7 +96,7 @@ func TestChaosEigenNoConvergeSameCut(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 	s := j.Wait(context.Background())
-	if s.State != StateDone {
+	if s.State != jobreg.StateDone {
 		t.Fatalf("state=%s err=%v, want done via Jacobi fallback", s.State, s.Err)
 	}
 	if inj.Fires(fault.EigenNoConverge) == 0 {
@@ -133,7 +134,7 @@ func TestChaosLatencyFaultsPreserveResults(t *testing.T) {
 			t.Fatalf("round %d submit: %v", round, err)
 		}
 		s := j.Wait(context.Background())
-		if s.State != StateDone {
+		if s.State != jobreg.StateDone {
 			t.Fatalf("round %d: state=%s err=%v", round, s.State, s.Err)
 		}
 		if s.Result.Metrics != clean.Metrics {
@@ -174,9 +175,9 @@ func TestChaosMixedFaultSweep(t *testing.T) {
 		}
 		s := j.Wait(context.Background())
 		switch s.State {
-		case StateDone:
+		case jobreg.StateDone:
 			done++
-		case StateFailed:
+		case jobreg.StateFailed:
 			if _, ok := fault.AsPanic(s.Err); !ok {
 				t.Fatalf("job %d failed with non-panic error: %v", i, s.Err)
 			}
@@ -209,7 +210,7 @@ func TestChaosRetryAbsorbsOnePanic(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 	s := j.Wait(context.Background())
-	if s.State != StateDone {
+	if s.State != jobreg.StateDone {
 		t.Fatalf("state=%s err=%v, want done after retry", s.State, s.Err)
 	}
 	snap := e.Metrics().Snapshot()
@@ -230,7 +231,7 @@ func TestShutdownRacingCancel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d submit: %v", round, err)
 		}
-		waitState(t, j, StateRunning, 5*time.Second)
+		waitState(t, j, jobreg.StateRunning, 5*time.Second)
 
 		start := make(chan struct{})
 		errc := make(chan error, 1)
@@ -250,7 +251,7 @@ func TestShutdownRacingCancel(t *testing.T) {
 		close(release)
 
 		s := j.Wait(context.Background())
-		if s.State != StateCancelled {
+		if s.State != jobreg.StateCancelled {
 			t.Fatalf("round %d: state=%s err=%v, want cancelled", round, s.State, s.Err)
 		}
 		if !errors.Is(s.Err, ErrCancelled) && !errors.Is(s.Err, ErrShutdown) {

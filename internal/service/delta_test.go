@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"igpart"
+	"igpart/internal/jobreg"
 )
 
 // solveBase submits h with opts and waits for the solve; the returned
@@ -18,7 +19,7 @@ func solveBase(t *testing.T, e *Engine, h *igpart.Netlist, opts Options) *Job {
 	if err != nil {
 		t.Fatalf("submit base: %v", err)
 	}
-	if s := job.Wait(context.Background()); s.State != StateDone {
+	if s := job.Wait(context.Background()); s.State != jobreg.StateDone {
 		t.Fatalf("base state = %s (err %v), want done", s.State, s.Err)
 	}
 	return job
@@ -71,7 +72,7 @@ func TestSubmitDeltaWarmLifecycle(t *testing.T) {
 		t.Fatalf("submit delta: %v", err)
 	}
 	s := job.Wait(context.Background())
-	if s.State != StateDone {
+	if s.State != jobreg.StateDone {
 		t.Fatalf("delta state = %s (err %v), want done", s.State, s.Err)
 	}
 	r := s.Result
@@ -122,7 +123,7 @@ func TestSubmitDeltaWarmLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit chained delta: %v", err)
 	}
-	if s2 := job2.Wait(context.Background()); s2.State != StateDone || !s2.Result.Warm {
+	if s2 := job2.Wait(context.Background()); s2.State != jobreg.StateDone || !s2.Result.Warm {
 		t.Fatalf("chained delta: state %s warm %v, want done+warm", s2.State, s2.Result != nil && s2.Result.Warm)
 	}
 }
@@ -172,7 +173,7 @@ func TestSubmitDeltaCacheHit(t *testing.T) {
 		t.Fatalf("first delta: %v", err)
 	}
 	s1 := j1.Wait(context.Background())
-	if s1.State != StateDone || s1.Cached {
+	if s1.State != jobreg.StateDone || s1.Cached {
 		t.Fatalf("first delta: state %s cached %v, want done uncached", s1.State, s1.Cached)
 	}
 
@@ -190,7 +191,7 @@ func TestSubmitDeltaCacheHit(t *testing.T) {
 		t.Fatalf("resubmit delta: %v", err)
 	}
 	s2 := j2.Wait(context.Background())
-	if s2.State != StateDone || !s2.Cached {
+	if s2.State != jobreg.StateDone || !s2.Cached {
 		t.Fatalf("resubmit: state %s cached %v, want done+cached", s2.State, s2.Cached)
 	}
 	if got := warmSolves.Load(); got != 1 {
@@ -215,7 +216,7 @@ func FuzzDeltaRequest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if s := base.Wait(context.Background()); s.State != StateDone {
+	if s := base.Wait(context.Background()); s.State != jobreg.StateDone {
 		f.Fatalf("base solve failed: %s", s.State)
 	}
 	f.Cleanup(func() {
@@ -238,7 +239,7 @@ func FuzzDeltaRequest(f *testing.F) {
 			if err != nil {
 				t.Fatalf("resubmit pruned base: %v", err)
 			}
-			if s := fresh.Wait(context.Background()); s.State != StateDone {
+			if s := fresh.Wait(context.Background()); s.State != jobreg.StateDone {
 				t.Fatalf("resubmitted base failed: %s", s.State)
 			}
 			baseID = fresh.ID()
@@ -259,7 +260,7 @@ func FuzzDeltaRequest(f *testing.F) {
 			}
 			return
 		}
-		if s := job.Wait(context.Background()); s.State != StateDone {
+		if s := job.Wait(context.Background()); s.State != jobreg.StateDone {
 			t.Fatalf("accepted delta failed: %s (err %v)", s.State, s.Err)
 		}
 		// Cache-key stability: reversing the edit lists is the same edit

@@ -3,14 +3,11 @@ package service
 import (
 	"context"
 	"time"
-
-	"igpart/internal/fault"
 )
 
 // clock is the engine's time source, a seam so retry/backoff schedules
 // are testable with a fake clock instead of wall-time sleeps.
 type clock interface {
-	Now() time.Time
 	// Sleep blocks for d or until ctx fires, returning ctx's error in
 	// the latter case — which is what makes backoff deadline-aware: a
 	// job whose deadline lands mid-backoff stops waiting immediately.
@@ -19,8 +16,6 @@ type clock interface {
 
 // realClock is the production clock.
 type realClock struct{}
-
-func (realClock) Now() time.Time { return time.Now() }
 
 func (realClock) Sleep(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
@@ -33,14 +28,12 @@ func (realClock) Sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// splitmix64 and backoffDelay live in internal/fault now, shared with
-// the cluster coordinator's failover resubmission; these aliases keep
-// the engine's call sites (and the schedule tests) unchanged.
-func splitmix64(x uint64) uint64 { return fault.Splitmix64(x) }
-
-func backoffDelay(attempt int, base, max time.Duration, seed uint64) time.Duration {
-	return fault.BackoffDelay(attempt, base, max, seed)
-}
+// Health degrades at this queue occupancy, and after this many
+// consecutive panicking solves.
+const (
+	degradedQueueFrac   = 0.8
+	degradedPanicStreak = 3
+)
 
 // Health is the engine's self-assessment, split the way an orchestrator
 // wants it: liveness (the engine exists and can answer) versus
@@ -63,11 +56,10 @@ type Health struct {
 
 // Health reports liveness and readiness. The engine degrades — Ready
 // false, Status "degraded" — when the queue occupancy reaches
-// Config.DegradedQueueFrac of capacity (backpressure is imminent) or
-// when Config.DegradedPanicStreak consecutive solves have panicked
-// (something is systematically wrong, stop routing work here). Both
-// conditions self-heal: draining the queue or one clean solve restores
-// readiness.
+// degradedQueueFrac of capacity (backpressure is imminent) or when
+// degradedPanicStreak consecutive solves have panicked (something is
+// systematically wrong, stop routing work here). Both conditions
+// self-heal: draining the queue or one clean solve restores readiness.
 func (e *Engine) Health() Health {
 	e.mu.Lock()
 	closed := e.closed
@@ -84,10 +76,10 @@ func (e *Engine) Health() Health {
 		h.Reasons = append(h.Reasons, "engine shut down")
 		return h
 	}
-	if frac := float64(h.QueueDepth) / float64(h.QueueCap); frac >= e.cfg.DegradedQueueFrac {
+	if frac := float64(h.QueueDepth) / float64(h.QueueCap); frac >= degradedQueueFrac {
 		h.Reasons = append(h.Reasons, "queue occupancy high")
 	}
-	if streak >= e.cfg.DegradedPanicStreak {
+	if streak >= degradedPanicStreak {
 		h.Reasons = append(h.Reasons, "consecutive solve panics")
 	}
 	if len(h.Reasons) > 0 {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"igpart"
+	"igpart/internal/jobreg"
 )
 
 // fakeClock records Sleep calls instead of waiting, so backoff
@@ -15,21 +16,13 @@ import (
 // lets a test fire the job context mid-backoff.
 type fakeClock struct {
 	mu      sync.Mutex
-	now     time.Time
 	sleeps  []time.Duration
 	onSleep func(ctx context.Context, d time.Duration) error
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
 }
 
 func (c *fakeClock) Sleep(ctx context.Context, d time.Duration) error {
 	c.mu.Lock()
 	c.sleeps = append(c.sleeps, d)
-	c.now = c.now.Add(d)
 	hook := c.onSleep
 	c.mu.Unlock()
 	if hook != nil {
@@ -48,7 +41,7 @@ func (c *fakeClock) slept() []time.Duration {
 // attempts and then succeeds.
 func failNTimesEngine(cfg Config, n int) (*Engine, *fakeClock) {
 	e := New(cfg)
-	clk := &fakeClock{now: time.Unix(0, 0)}
+	clk := &fakeClock{}
 	e.clock = clk
 	attempts := 0
 	e.solveFn = func(ctx context.Context, req Request, o Options) (*Result, error) {
@@ -74,7 +67,7 @@ func TestRetryScheduleWithFakeClock(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if s := j.Wait(context.Background()); s.State != StateDone {
+	if s := j.Wait(context.Background()); s.State != jobreg.StateDone {
 		t.Fatalf("state=%s err=%v, want done on attempt 3", s.State, s.Err)
 	}
 	sleeps := clk.slept()
@@ -99,7 +92,7 @@ func TestRetryExhaustionFailsJob(t *testing.T) {
 	h := genNetlist(t, 20, 24, 3)
 	j, _ := e.Submit(Request{Netlist: h})
 	s := j.Wait(context.Background())
-	if s.State != StateFailed || s.Err == nil {
+	if s.State != jobreg.StateFailed || s.Err == nil {
 		t.Fatalf("state=%s err=%v, want failed with solver error", s.State, s.Err)
 	}
 	if got := len(clk.slept()); got != 2 {
@@ -113,7 +106,7 @@ func TestRetryDisabled(t *testing.T) {
 
 	h := genNetlist(t, 20, 24, 3)
 	j, _ := e.Submit(Request{Netlist: h})
-	if s := j.Wait(context.Background()); s.State != StateFailed {
+	if s := j.Wait(context.Background()); s.State != jobreg.StateFailed {
 		t.Fatalf("state=%s, want failed on the only attempt", s.State)
 	}
 	if len(clk.slept()) != 0 {
@@ -141,7 +134,7 @@ func TestRetryDeadlineTruncatesBackoff(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 	s := j.Wait(context.Background())
-	if s.State != StateFailed || !errors.Is(s.Err, context.DeadlineExceeded) {
+	if s.State != jobreg.StateFailed || !errors.Is(s.Err, context.DeadlineExceeded) {
 		t.Fatalf("state=%s err=%v, want failed/DeadlineExceeded from mid-backoff", s.State, s.Err)
 	}
 	if got := len(clk.slept()); got != 1 {
@@ -149,58 +142,17 @@ func TestRetryDeadlineTruncatesBackoff(t *testing.T) {
 	}
 }
 
-func TestBackoffDelayFunction(t *testing.T) {
-	base, max := 100*time.Millisecond, time.Second
-	prevCap := time.Duration(0)
-	for attempt := 1; attempt <= 8; attempt++ {
-		d := backoffDelay(attempt, base, max, 12345)
-		// Uncapped ideal for this attempt.
-		ideal := base
-		for i := 1; i < attempt && ideal < max; i++ {
-			ideal *= 2
-		}
-		if ideal > max {
-			ideal = max
-		}
-		if d < ideal/2 || d >= ideal {
-			t.Fatalf("attempt %d: delay %v outside [%v, %v)", attempt, d, ideal/2, ideal)
-		}
-		if ideal < prevCap {
-			t.Fatalf("attempt %d: cap shrank", attempt)
-		}
-		prevCap = ideal
-	}
-	// Capped: attempts far out never exceed max.
-	if d := backoffDelay(50, base, max, 1); d >= max {
-		t.Fatalf("attempt 50: delay %v not capped below %v", d, max)
-	}
-	// Deterministic per seed, varies across seeds.
-	if backoffDelay(3, base, max, 7) != backoffDelay(3, base, max, 7) {
-		t.Fatal("same seed gave different delays")
-	}
-	varies := false
-	for seed := uint64(0); seed < 16; seed++ {
-		if backoffDelay(3, base, max, seed) != backoffDelay(3, base, max, seed+100) {
-			varies = true
-			break
-		}
-	}
-	if !varies {
-		t.Fatal("jitter never varies across seeds")
-	}
-}
-
 func TestHealthDegradesOnQueueOccupancy(t *testing.T) {
 	h := genNetlist(t, 20, 24, 3)
-	e, release := blockingEngine(Config{Workers: 1, QueueDepth: 4, DegradedQueueFrac: 0.5})
+	e, release := blockingEngine(Config{Workers: 1, QueueDepth: 5})
 	defer shutdownNow(t, e)
 
 	if hl := e.Health(); !hl.Ready || !hl.Live || hl.Status != "ok" {
 		t.Fatalf("idle engine Health = %+v, want live+ready", hl)
 	}
 	j1, _ := e.Submit(Request{Netlist: h})
-	waitState(t, j1, StateRunning, 5*time.Second)
-	for i := 0; i < 3; i++ { // 3 queued of 4 ≥ 0.5 occupancy
+	waitState(t, j1, jobreg.StateRunning, 5*time.Second)
+	for i := 0; i < 4; i++ { // 4 queued of 5 reaches the 0.8 threshold
 		if _, err := e.Submit(Request{Netlist: h}); err != nil {
 			t.Fatalf("fill %d: %v", i, err)
 		}

@@ -5,7 +5,8 @@
 //     bounded queue with explicit-rejection backpressure (Submit fails
 //     fast with ErrQueueFull instead of blocking — the caller, e.g.
 //     cmd/igpartd, maps that to HTTP 429);
-//   - a job lifecycle (queued → running → done/failed/cancelled) with
+//   - the job lifecycle shared with the cluster coordinator
+//     (internal/jobreg: queued → running → done/failed/cancelled) with
 //     per-job deadlines and cooperative cancellation, built on the
 //     context threading through igpart.IGMatch/MultilevelIGMatch down
 //     into the sweep shards and Lanczos cycles;
@@ -34,24 +35,6 @@ import (
 	"igpart/internal/jobreg"
 	"igpart/internal/obs"
 )
-
-// State is a job's lifecycle phase.
-type State string
-
-// The job lifecycle. Queued and Running are transient; the other three
-// are terminal and frozen once reached.
-const (
-	StateQueued    State = "queued"
-	StateRunning   State = "running"
-	StateDone      State = "done"
-	StateFailed    State = "failed"
-	StateCancelled State = "cancelled"
-)
-
-// Terminal reports whether the state is final.
-func (s State) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCancelled
-}
 
 // Sentinel errors returned by the engine.
 var (
@@ -107,12 +90,6 @@ type Config struct {
 	// deterministic jitter). Defaults 50ms and 2s.
 	RetryBaseDelay time.Duration
 	RetryMaxDelay  time.Duration
-	// DegradedQueueFrac is the queue occupancy (0..1] at which Health
-	// reports degraded readiness. Default 0.8.
-	DegradedQueueFrac float64
-	// DegradedPanicStreak is the number of consecutive panicking solves
-	// that flips readiness to degraded. Default 3.
-	DegradedPanicStreak int
 	// Fault arms deterministic fault-injection points in the engine
 	// (worker.panic inside the solve barrier, cache.evict-storm on cache
 	// stores) and is forwarded to the pipeline for eigen.noconverge and
@@ -145,12 +122,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryMaxDelay <= 0 {
 		c.RetryMaxDelay = 2 * time.Second
-	}
-	if c.DegradedQueueFrac <= 0 || c.DegradedQueueFrac > 1 {
-		c.DegradedQueueFrac = 0.8
-	}
-	if c.DegradedPanicStreak <= 0 {
-		c.DegradedPanicStreak = 3
 	}
 	return c
 }
@@ -199,15 +170,10 @@ type Result struct {
 
 // Snapshot is an immutable view of a job's externally visible state.
 type Snapshot struct {
-	ID        string
-	State     State
-	Cached    bool
-	Err       error
-	Submitted time.Time
-	Started   time.Time
-	Finished  time.Time
-	// Result is non-nil exactly when State == StateDone. It is shared
-	// with the cache and must be treated as read-only.
+	jobreg.Status
+	Cached bool
+	// Result is non-nil exactly when State == jobreg.StateDone. It is
+	// shared with the cache and must be treated as read-only.
 	Result *Result
 }
 
@@ -225,7 +191,7 @@ type warmSpec struct {
 
 // Job is a submitted partitioning request tracked by the engine.
 type Job struct {
-	id  string
+	*jobreg.Lifecycle
 	req Request
 	// key is the precomputed cache key for jobs whose key is not
 	// cacheKey(req.Netlist, req.Options) — delta jobs key on
@@ -234,87 +200,26 @@ type Job struct {
 	// warm is non-nil exactly for ECO delta jobs.
 	warm *warmSpec
 
-	ctx       context.Context
-	cancel    context.CancelCauseFunc
-	stopTimer context.CancelFunc
-
-	done chan struct{}
-
-	mu        sync.Mutex
-	state     State
-	cached    bool
-	res       *Result
-	err       error
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
+	// The outcome, set by Finish under the lifecycle's lock.
+	cached bool
+	res    *Result
 }
-
-// ID returns the engine-assigned job identifier.
-func (j *Job) ID() string { return j.id }
-
-// Done is closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Snapshot returns the job's current externally visible state.
 func (j *Job) Snapshot() Snapshot {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return Snapshot{
-		ID:        j.id,
-		State:     j.state,
-		Cached:    j.cached,
-		Err:       j.err,
-		Submitted: j.submitted,
-		Started:   j.started,
-		Finished:  j.finished,
-		Result:    j.res,
-	}
+	var s Snapshot
+	s.Status = j.Status(func() { s.Cached, s.Result = j.cached, j.res })
+	return s
 }
 
 // Wait blocks until the job is terminal or ctx fires, returning the
 // snapshot either way.
 func (j *Job) Wait(ctx context.Context) Snapshot {
 	select {
-	case <-j.done:
+	case <-j.Done():
 	case <-ctx.Done():
 	}
 	return j.Snapshot()
-}
-
-// tryStart moves queued → running; it fails when the job was cancelled
-// (or deadline-expired) while still queued.
-func (j *Job) tryStart() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateQueued || j.ctx.Err() != nil {
-		return false
-	}
-	j.state = StateRunning
-	j.started = time.Now()
-	return true
-}
-
-// finish freezes the job in a terminal state and reports whether this
-// call performed the transition. Later calls are no-ops, which makes
-// completion/cancellation races safe — whoever transitions first wins,
-// and only the winner updates the outcome counters.
-func (j *Job) finish(state State, res *Result, cached bool, err error) bool {
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return false
-	}
-	j.state = state
-	j.res = res
-	j.cached = cached
-	j.err = err
-	j.finished = time.Now()
-	j.mu.Unlock()
-	j.stopTimer()
-	j.cancel(nil)
-	close(j.done)
-	return true
 }
 
 // keepFinished is how many terminal jobs stay queryable; the oldest are
@@ -411,7 +316,7 @@ func (e *Engine) SubmitDelta(baseID string, d igpart.NetlistDelta, timeout time.
 		return nil, fmt.Errorf("%w: %q", ErrUnknownBase, baseID)
 	}
 	snap := base.Snapshot()
-	if snap.State != StateDone || snap.Result == nil {
+	if snap.State != jobreg.StateDone || snap.Result == nil {
 		return nil, fmt.Errorf("%w: job %s is %s", ErrNotWarmStartable, baseID, snap.State)
 	}
 	res := snap.Result
@@ -452,46 +357,30 @@ func (e *Engine) enqueue(req Request, key string, ws *warmSpec) (*Job, error) {
 		timeout = e.cfg.MaxTimeout
 	}
 
-	base, cancel := context.WithCancelCause(context.Background())
-	ctx := base
-	stopTimer := func() {}
-	if timeout > 0 {
-		// The deadline runs from submission: a job stuck behind a full
-		// queue burns its budget too, so callers get a bounded answer
-		// time no matter where the time goes.
-		ctx, stopTimer = context.WithTimeout(base, timeout)
-	}
-	job := &Job{
-		req:       req,
-		key:       key,
-		warm:      ws,
-		ctx:       ctx,
-		cancel:    cancel,
-		stopTimer: stopTimer,
-		done:      make(chan struct{}),
-		state:     StateQueued,
-		submitted: time.Now(),
-	}
-
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		stopTimer()
-		cancel(ErrShutdown)
 		return nil, ErrShutdown
 	}
-	job.id = e.jobs.NextID("job")
+	id := e.jobs.NextID("job")
 	if len(e.queue) == cap(e.queue) {
 		e.mu.Unlock()
-		stopTimer()
-		cancel(ErrQueueFull)
 		e.reg.Counter("service.jobs_rejected").Add(1)
 		return nil, ErrQueueFull
+	}
+	// The deadline runs from submission: a job stuck behind a full queue
+	// burns its budget too, so callers get a bounded answer time no
+	// matter where the time goes.
+	job := &Job{
+		Lifecycle: jobreg.NewLifecycle(context.Background(), id, timeout),
+		req:       req,
+		key:       key,
+		warm:      ws,
 	}
 	// Register before sending, so a worker cannot finish the job before
 	// it is queryable. The send cannot block: every send happens under
 	// e.mu and a slot is free.
-	e.jobs.Add(job.id, job)
+	e.jobs.Add(id, job)
 	e.queue <- job
 	e.mu.Unlock()
 	e.reg.Counter("service.jobs_submitted").Add(1)
@@ -512,17 +401,11 @@ func (e *Engine) Cancel(id string) (*Job, bool) {
 	if !ok {
 		return nil, false
 	}
-	j.cancel(ErrCancelled)
-	j.mu.Lock()
-	queued := j.state == StateQueued
-	j.mu.Unlock()
-	if queued {
+	j.Cancel(ErrCancelled)
+	if j.Status(nil).State == jobreg.StateQueued {
 		// Don't wait for a worker to drain it from the queue; when the
-		// worker does, tryStart sees the terminal state and moves on.
-		if j.finish(StateCancelled, nil, false, ErrCancelled) {
-			e.reg.Counter("service.jobs_cancelled").Add(1)
-			e.jobs.Finish(j.id)
-		}
+		// worker does, Start sees the terminal state and moves on.
+		e.settle(j, jobreg.StateCancelled, nil, false, ErrCancelled)
 	}
 	return j, true
 }
@@ -550,7 +433,7 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 		for _, j := range e.jobs.Jobs() {
-			j.cancel(ErrShutdown)
+			j.Cancel(ErrShutdown)
 		}
 		<-drained
 		return ctx.Err()
@@ -569,7 +452,7 @@ func (e *Engine) worker() {
 // the outcome by the job context's cancel cause.
 func (e *Engine) run(job *Job) {
 	e.reg.Gauge("service.queue_depth").Set(float64(len(e.queue)))
-	if !job.tryStart() {
+	if !job.Start() {
 		e.finalizeAborted(job)
 		return
 	}
@@ -578,10 +461,7 @@ func (e *Engine) run(job *Job) {
 		key = cacheKey(job.req.Netlist, job.req.Options)
 	}
 	if res, ok := e.cache.get(key); ok {
-		if job.finish(StateDone, res, true, nil) {
-			e.reg.Counter("service.jobs_completed").Add(1)
-			e.jobs.Finish(job.id)
-		}
+		e.settle(job, jobreg.StateDone, res, true, nil)
 		return
 	}
 	res, err := e.solveWithRetry(job)
@@ -591,18 +471,29 @@ func (e *Engine) run(job *Job) {
 		// terminal transition: the result is valid and future identical
 		// submissions should hit.
 		e.cache.put(key, res)
-		if job.finish(StateDone, res, false, nil) {
-			e.reg.Counter("service.jobs_completed").Add(1)
-			e.jobs.Finish(job.id)
-		}
-	case job.ctx.Err() != nil:
+		e.settle(job, jobreg.StateDone, res, false, nil)
+	case job.Context().Err() != nil:
 		e.finalizeAborted(job)
 	default:
-		if job.finish(StateFailed, nil, false, err) {
-			e.reg.Counter("service.jobs_failed").Add(1)
-			e.jobs.Finish(job.id)
-		}
+		e.settle(job, jobreg.StateFailed, nil, false, err)
 	}
+}
+
+// outcomeCounters names the counter each terminal state increments.
+var outcomeCounters = map[jobreg.State]string{
+	jobreg.StateDone:      "service.jobs_completed",
+	jobreg.StateFailed:    "service.jobs_failed",
+	jobreg.StateCancelled: "service.jobs_cancelled",
+}
+
+// settle is the engine's one terminal transition: finish the job and,
+// if this call won, count the outcome and let the registry prune —
+// both before Done closes.
+func (e *Engine) settle(job *Job, state jobreg.State, res *Result, cached bool, err error) {
+	job.Finish(state, err, func() { job.res, job.cached = res, cached }, func() {
+		e.reg.Counter(outcomeCounters[state]).Add(1)
+		e.jobs.Finish(job.ID())
+	})
 }
 
 // safeSolve runs one solve attempt behind the worker recover barrier: a
@@ -621,9 +512,9 @@ func (e *Engine) safeSolve(job *Job) (res *Result, err error) {
 		panic("injected fault: " + string(fault.WorkerPanic))
 	}
 	if job.warm != nil {
-		res, err = e.solveDeltaFn(job.ctx, job.warm, job.req.Options)
+		res, err = e.solveDeltaFn(job.Context(), job.warm, job.req.Options)
 	} else {
-		res, err = e.solveFn(job.ctx, job.req, job.req.Options)
+		res, err = e.solveFn(job.Context(), job.req, job.req.Options)
 	}
 	e.mu.Lock()
 	e.panicStreak = 0
@@ -648,21 +539,17 @@ func (e *Engine) notePanic(pe *fault.PanicError) error {
 // context that has fired stops the loop at once, and the backoff sleep
 // itself aborts when the context fires mid-wait.
 func (e *Engine) solveWithRetry(job *Job) (*Result, error) {
-	// FNV-1a over the job ID, mixed with the request seed: distinct jobs
-	// get distinct — but reproducible — jitter streams.
-	seed := uint64(14695981039346656037)
-	for i := 0; i < len(job.id); i++ {
-		seed = (seed ^ uint64(job.id[i])) * 1099511628211
-	}
-	seed ^= splitmix64(uint64(job.req.Options.Seed))
+	// The job's jitter stream, mixed with the request seed.
+	seed := fault.JitterSeed(job.ID()) ^ fault.Splitmix64(uint64(job.req.Options.Seed))
+	ctx := job.Context()
 	for attempt := 1; ; attempt++ {
 		res, err := e.safeSolve(job)
-		if err == nil || job.ctx.Err() != nil || attempt >= e.cfg.RetryAttempts {
+		if err == nil || ctx.Err() != nil || attempt >= e.cfg.RetryAttempts {
 			return res, err
 		}
 		e.reg.Counter("service.retries").Add(1)
-		d := backoffDelay(attempt, e.cfg.RetryBaseDelay, e.cfg.RetryMaxDelay, seed)
-		if e.clock.Sleep(job.ctx, d) != nil {
+		d := fault.BackoffDelay(attempt, e.cfg.RetryBaseDelay, e.cfg.RetryMaxDelay, seed)
+		if e.clock.Sleep(ctx, d) != nil {
 			// Deadline or cancel mid-backoff: surface the solve error; run()
 			// classifies by the context cause.
 			return nil, err
@@ -674,16 +561,12 @@ func (e *Engine) solveWithRetry(job *Job) (*Result, error) {
 // cause: an explicit Cancel (or shutdown abandonment) is "cancelled", a
 // deadline expiry is "failed" with DeadlineExceeded.
 func (e *Engine) finalizeAborted(job *Job) {
-	cause := context.Cause(job.ctx)
+	cause := context.Cause(job.Context())
 	if errors.Is(cause, context.DeadlineExceeded) {
-		if job.finish(StateFailed, nil, false, fmt.Errorf("service: job deadline exceeded: %w", context.DeadlineExceeded)) {
-			e.reg.Counter("service.jobs_failed").Add(1)
-			e.jobs.Finish(job.id)
-		}
-	} else if job.finish(StateCancelled, nil, false, cause) {
-		e.reg.Counter("service.jobs_cancelled").Add(1)
-		e.jobs.Finish(job.id)
+		e.settle(job, jobreg.StateFailed, nil, false, fmt.Errorf("service: job deadline exceeded: %w", context.DeadlineExceeded))
+		return
 	}
+	e.settle(job, jobreg.StateCancelled, nil, false, cause)
 }
 
 // foldMetrics adds a solve trace's registry counters into the

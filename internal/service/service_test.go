@@ -9,6 +9,7 @@ import (
 
 	"igpart"
 	"igpart/internal/hypergraph"
+	"igpart/internal/jobreg"
 )
 
 // genNetlist builds a small synthetic circuit for engine tests.
@@ -23,7 +24,7 @@ func genNetlist(t *testing.T, modules, nets int, seed int64) *igpart.Netlist {
 
 // waitState polls until the job reaches want (or any terminal state)
 // and returns the snapshot.
-func waitState(t *testing.T, j *Job, want State, timeout time.Duration) Snapshot {
+func waitState(t *testing.T, j *Job, want jobreg.State, timeout time.Duration) Snapshot {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
@@ -57,7 +58,7 @@ func TestSolveMatchesDirectCall(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 	s := job.Wait(context.Background())
-	if s.State != StateDone {
+	if s.State != jobreg.StateDone {
 		t.Fatalf("state = %s (err %v), want done", s.State, s.Err)
 	}
 	direct, err := igpart.IGMatch(h)
@@ -80,7 +81,7 @@ func TestSolveMatchesDirectCall(t *testing.T) {
 		t.Fatalf("submit multilevel: %v", err)
 	}
 	ms := mj.Wait(context.Background())
-	if ms.State != StateDone {
+	if ms.State != jobreg.StateDone {
 		t.Fatalf("multilevel state = %s (err %v)", ms.State, ms.Err)
 	}
 	mdirect, err := igpart.MultilevelIGMatch(h, igpart.MultilevelOptions{Levels: 2})
@@ -112,7 +113,7 @@ func TestCacheHitOnIdenticalResubmit(t *testing.T) {
 		return j.Wait(context.Background())
 	}
 	s1 := first()
-	if s1.State != StateDone || s1.Cached {
+	if s1.State != jobreg.StateDone || s1.Cached {
 		t.Fatalf("first run: state=%s cached=%v", s1.State, s1.Cached)
 	}
 
@@ -127,7 +128,7 @@ func TestCacheHitOnIdenticalResubmit(t *testing.T) {
 		t.Fatalf("resubmit: %v", err)
 	}
 	s2 := j2.Wait(context.Background())
-	if s2.State != StateDone || !s2.Cached {
+	if s2.State != jobreg.StateDone || !s2.Cached {
 		t.Fatalf("resubmit: state=%s cached=%v, want done from cache", s2.State, s2.Cached)
 	}
 	if got := solves.Load(); got != 1 {
@@ -185,7 +186,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit 1: %v", err)
 	}
-	waitState(t, j1, StateRunning, 5*time.Second) // worker occupied
+	waitState(t, j1, jobreg.StateRunning, 5*time.Second) // worker occupied
 	if _, err := e.Submit(Request{Netlist: h}); err != nil {
 		t.Fatalf("submit 2 (fills queue): %v", err)
 	}
@@ -204,7 +205,7 @@ func TestCancelQueuedJobIsImmediate(t *testing.T) {
 	defer shutdownNow(t, e)
 
 	j1, _ := e.Submit(Request{Netlist: h})
-	waitState(t, j1, StateRunning, 5*time.Second)
+	waitState(t, j1, jobreg.StateRunning, 5*time.Second)
 	j2, err := e.Submit(Request{Netlist: h})
 	if err != nil {
 		t.Fatalf("submit queued: %v", err)
@@ -213,7 +214,7 @@ func TestCancelQueuedJobIsImmediate(t *testing.T) {
 		t.Fatal("cancel: unknown job")
 	}
 	s := j2.Snapshot() // no waiting: a queued cancel finalizes inline
-	if s.State != StateCancelled || !errors.Is(s.Err, ErrCancelled) {
+	if s.State != jobreg.StateCancelled || !errors.Is(s.Err, ErrCancelled) {
 		t.Fatalf("queued cancel: state=%s err=%v", s.State, s.Err)
 	}
 	if _, ok := e.Cancel("job-nope"); ok {
@@ -232,7 +233,7 @@ func TestDeadlineFailsJob(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 	s := j.Wait(context.Background())
-	if s.State != StateFailed || !errors.Is(s.Err, context.DeadlineExceeded) {
+	if s.State != jobreg.StateFailed || !errors.Is(s.Err, context.DeadlineExceeded) {
 		t.Fatalf("deadline job: state=%s err=%v, want failed/DeadlineExceeded", s.State, s.Err)
 	}
 }
@@ -242,7 +243,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	e, release := blockingEngine(Config{Workers: 1})
 
 	j, _ := e.Submit(Request{Netlist: h})
-	waitState(t, j, StateRunning, 5*time.Second)
+	waitState(t, j, jobreg.StateRunning, 5*time.Second)
 	go func() {
 		time.Sleep(50 * time.Millisecond)
 		close(release)
@@ -250,7 +251,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	if err := e.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	if s := j.Snapshot(); s.State != StateDone {
+	if s := j.Snapshot(); s.State != jobreg.StateDone {
 		t.Fatalf("in-flight job after drain: %s, want done", s.State)
 	}
 	if _, err := e.Submit(Request{Netlist: h}); !errors.Is(err, ErrShutdown) {
@@ -267,13 +268,13 @@ func TestShutdownDeadlineCancelsStragglers(t *testing.T) {
 	e, _ := blockingEngine(Config{Workers: 1}) // never released
 
 	j, _ := e.Submit(Request{Netlist: h})
-	waitState(t, j, StateRunning, 5*time.Second)
+	waitState(t, j, jobreg.StateRunning, 5*time.Second)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if err := e.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("shutdown = %v, want DeadlineExceeded", err)
 	}
-	if s := j.Snapshot(); s.State != StateCancelled || !errors.Is(s.Err, ErrShutdown) {
+	if s := j.Snapshot(); s.State != jobreg.StateCancelled || !errors.Is(s.Err, ErrShutdown) {
 		t.Fatalf("straggler: state=%s err=%v, want cancelled/ErrShutdown", s.State, s.Err)
 	}
 }
@@ -299,7 +300,7 @@ func TestCancelMidSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	waitState(t, j, StateRunning, 10*time.Second)
+	waitState(t, j, jobreg.StateRunning, 10*time.Second)
 	time.Sleep(30 * time.Millisecond) // bite into eigensolve/sweep
 	t0 := time.Now()
 	if _, ok := e.Cancel(j.ID()); !ok {
@@ -314,7 +315,7 @@ func TestCancelMidSweep(t *testing.T) {
 	if elapsed := time.Since(t0); elapsed > 2*time.Second {
 		t.Fatalf("cancellation took %v, want < 2s", elapsed)
 	}
-	if s.State != StateCancelled {
+	if s.State != jobreg.StateCancelled {
 		t.Fatalf("state = %s (err %v), want cancelled", s.State, s.Err)
 	}
 	if got := e.Metrics().Snapshot().Counters["service.jobs_cancelled"]; got != 1 {
@@ -327,7 +328,7 @@ func TestCancelMidSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit after cancel: %v", err)
 	}
-	if s2 := j2.Wait(context.Background()); s2.State != StateDone {
+	if s2 := j2.Wait(context.Background()); s2.State != jobreg.StateDone {
 		t.Fatalf("post-cancel job: state=%s err=%v", s2.State, s2.Err)
 	}
 }
@@ -384,7 +385,7 @@ func TestKWayJobEndToEnd(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 	s := j.Wait(context.Background())
-	if s.State != StateDone {
+	if s.State != jobreg.StateDone {
 		t.Fatalf("state=%s err=%v, want done", s.State, s.Err)
 	}
 	res := s.Result
@@ -416,7 +417,7 @@ func TestKWayJobEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resubmit: %v", err)
 	}
-	if s2 := j2.Wait(context.Background()); s2.State != StateDone || !s2.Cached {
+	if s2 := j2.Wait(context.Background()); s2.State != jobreg.StateDone || !s2.Cached {
 		t.Fatalf("resubmission: state=%s cached=%v, want done/cached", s2.State, s2.Cached)
 	}
 }
@@ -431,7 +432,7 @@ func TestKWaySpectralJob(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 	s := j.Wait(context.Background())
-	if s.State != StateDone {
+	if s.State != jobreg.StateDone {
 		t.Fatalf("state=%s err=%v, want done", s.State, s.Err)
 	}
 	if s.Result.K != 3 || len(s.Result.PartSizes) != 3 {
@@ -459,7 +460,7 @@ func TestKWayCancelMidSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	waitState(t, j, StateRunning, 10*time.Second)
+	waitState(t, j, jobreg.StateRunning, 10*time.Second)
 	time.Sleep(30 * time.Millisecond)
 	t0 := time.Now()
 	if _, ok := e.Cancel(j.ID()); !ok {
@@ -474,7 +475,7 @@ func TestKWayCancelMidSweep(t *testing.T) {
 	if elapsed := time.Since(t0); elapsed > 2*time.Second {
 		t.Fatalf("cancellation took %v, want < 2s", elapsed)
 	}
-	if s.State != StateCancelled {
+	if s.State != jobreg.StateCancelled {
 		t.Fatalf("state = %s (err %v), want cancelled", s.State, s.Err)
 	}
 }
