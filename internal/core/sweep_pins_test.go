@@ -2,34 +2,80 @@ package core
 
 import (
 	"encoding/binary"
+	"hash"
 	"hash/fnv"
 	"math"
 	"testing"
 
+	"igpart/internal/hypergraph"
 	"igpart/internal/netgen"
 )
+
+// pinHasher feeds 64-bit words to FNV-64a.
+type pinHasher struct {
+	h   hash.Hash64
+	buf [8]byte
+}
+
+func newPinHasher() *pinHasher { return &pinHasher{h: fnv.New64a()} }
+
+func (p *pinHasher) put(x uint64) {
+	binary.LittleEndian.PutUint64(p.buf[:], x)
+	p.h.Write(p.buf[:])
+}
+
+// trace feeds every SplitRecord: rank, matching size, cut, ratio-cut bits.
+func (p *pinHasher) trace(trace []SplitRecord) {
+	for _, r := range trace {
+		p.put(uint64(r.Rank))
+		p.put(uint64(r.MatchingSize))
+		p.put(uint64(int64(r.CutNets)))
+		p.put(math.Float64bits(r.RatioCut))
+	}
+}
+
+// sides feeds every module's side of the result's partition.
+func (p *pinHasher) sides(res Result) {
+	for v := 0; v < res.Partition.NumModules(); v++ {
+		p.put(uint64(res.Partition.Side(v)))
+	}
+}
+
+// result feeds the winning split: BestRank, BestMatching, the metrics
+// and the module sides.
+func (p *pinHasher) result(res Result) {
+	p.put(uint64(res.BestRank))
+	p.put(uint64(res.BestMatching))
+	p.put(uint64(res.Metrics.CutNets))
+	p.put(uint64(res.Metrics.SizeU))
+	p.put(uint64(res.Metrics.SizeW))
+	p.put(math.Float64bits(res.Metrics.RatioCut))
+	p.sides(res)
+}
 
 // sweepHash condenses a full sweep into one pinnable integer: every
 // SplitRecord (rank, matching size, cut, ratio-cut bits), the winning
 // rank and the winning module sides, fed to FNV-64a in that order.
 func sweepHash(trace []SplitRecord, res Result) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(x uint64) {
-		binary.LittleEndian.PutUint64(buf[:], x)
-		h.Write(buf[:])
+	p := newPinHasher()
+	p.trace(trace)
+	p.put(uint64(res.BestRank))
+	p.sides(res)
+	return p.h.Sum64()
+}
+
+// pinnedCircuit generates one of the pinned circuits at its pinned scale.
+func pinnedCircuit(t *testing.T, name string, scale float64) *hypergraph.Hypergraph {
+	t.Helper()
+	cfg, ok := netgen.ByName(name)
+	if !ok {
+		t.Fatalf("%s: preset missing", name)
 	}
-	for _, r := range trace {
-		put(uint64(r.Rank))
-		put(uint64(r.MatchingSize))
-		put(uint64(int64(r.CutNets)))
-		put(math.Float64bits(r.RatioCut))
+	h, err := netgen.Generate(cfg.Scaled(scale))
+	if err != nil {
+		t.Fatal(err)
 	}
-	put(uint64(res.BestRank))
-	for v := 0; v < res.Partition.NumModules(); v++ {
-		put(uint64(res.Partition.Side(v)))
-	}
-	return h.Sum64()
+	return h
 }
 
 // sweepPins holds the per-circuit sweep hashes: the nine paper circuits
@@ -59,14 +105,7 @@ var sweepPins = []struct {
 // at P=1 and P=4 and requires both to hash to the pinned value.
 func TestSweepPins(t *testing.T) {
 	for _, pin := range sweepPins {
-		cfg, ok := netgen.ByName(pin.name)
-		if !ok {
-			t.Fatalf("%s: preset missing", pin.name)
-		}
-		h, err := netgen.Generate(cfg.Scaled(pin.scale))
-		if err != nil {
-			t.Fatal(err)
-		}
+		h := pinnedCircuit(t, pin.name, pin.scale)
 		for _, p := range []int{1, 4} {
 			var trace []SplitRecord
 			res, err := Partition(h, Options{Parallelism: p, Trace: &trace})
@@ -75,6 +114,88 @@ func TestSweepPins(t *testing.T) {
 			}
 			if got := sweepHash(trace, res); got != pin.hash {
 				t.Errorf("%s P=%d: sweep hash %#x, pinned %#x", pin.name, p, got, pin.hash)
+			}
+		}
+	}
+}
+
+// candidatePins holds, for the circuits of sweepPins, one hash over the
+// sweeps that start mid-ordering or skip ranks, all over the circuit's
+// Fiedler order: the candidate sweep at 8 and at 32 candidates, a
+// windowed full sweep at the full sweep's best rank ± 40 with its trace,
+// and a constrained run — a 45–55% balance window with module 0 pinned
+// to U and module n−1 to W — as a full sweep and at 12 candidates.
+var candidatePins = []struct {
+	name  string
+	scale float64
+	hash  uint64
+}{
+	{"bm1", 1, 0x9b039fa257034dc6},
+	{"19ks", 1, 0x98f6d3f99a1aeb8e},
+	{"Prim1", 1, 0xbf4145af78aa6c58},
+	{"Prim2", 1, 0xcecd010fda572ccc},
+	{"Test02", 1, 0x28b12979853c0ad0},
+	{"Test03", 1, 0x2f8874fa250947e7},
+	{"Test04", 1, 0x4a476718225bfe48},
+	{"Test05", 1, 0xda37b0b84caf641d},
+	{"Test06", 1, 0xfe073744e1116c65},
+	{"scale10k", 0.25, 0x6a6edd28b8b2b0b6},
+}
+
+// candidateHash runs the candidatePins runs of h over order at
+// parallelism p and feeds each run's result (and the windowed run's
+// trace) to FNV-64a in that order.
+func candidateHash(t *testing.T, h *hypergraph.Hypergraph, order []int, p int) uint64 {
+	t.Helper()
+	ph := newPinHasher()
+	run := func(label string, res Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("P=%d %s: %v", p, label, err)
+		}
+		ph.result(res)
+	}
+	full, err := PartitionWithOrder(h, order, Options{Parallelism: p})
+	if err != nil {
+		t.Fatalf("P=%d full sweep: %v", p, err)
+	}
+	for _, c := range []int{8, 32} {
+		res, err := PartitionCandidatesWithOrder(h, order, c, Options{Parallelism: p})
+		run("candidates", res, err)
+	}
+	var trace []SplitRecord
+	res, err := PartitionWithOrder(h, order, Options{
+		Parallelism: p, SweepLo: full.BestRank - 40, SweepHi: full.BestRank + 40, Trace: &trace,
+	})
+	run("window", res, err)
+	ph.trace(trace)
+
+	n := h.NumModules()
+	fixed := make([]int8, n)
+	for v := range fixed {
+		fixed[v] = -1
+	}
+	fixed[0], fixed[n-1] = 0, 1
+	cons := Options{Parallelism: p, Balance: &Balance{MinU: 45 * n / 100, MaxU: 55 * n / 100}, FixedSides: fixed}
+	res, err = PartitionWithOrder(h, order, cons)
+	run("constrained", res, err)
+	res, err = PartitionCandidatesWithOrder(h, order, 12, cons)
+	run("constrained candidates", res, err)
+	return ph.h.Sum64()
+}
+
+// TestCandidatePins runs the candidatePins runs of each circuit at P=1
+// and P=4 and requires both to hash to the pinned value.
+func TestCandidatePins(t *testing.T) {
+	for _, pin := range candidatePins {
+		h := pinnedCircuit(t, pin.name, pin.scale)
+		order, _, err := fiedlerOrder(h, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{1, 4} {
+			if got := candidateHash(t, h, order, p); got != pin.hash {
+				t.Errorf("%s P=%d: candidate hash %#x, pinned %#x", pin.name, p, got, pin.hash)
 			}
 		}
 	}
