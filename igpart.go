@@ -227,32 +227,7 @@ type IGMatchResult struct {
 
 // IGMatch partitions h with the paper's IG-Match algorithm.
 func IGMatch(h *Netlist, opts ...IGMatchOptions) (IGMatchResult, error) {
-	var o IGMatchOptions
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	res, err := core.Partition(h, core.Options{
-		IG: netmodel.IGOptions{Scheme: o.Scheme, Threshold: o.Threshold},
-		Eigen: eigen.Options{
-			Seed: o.Seed, BlockSize: o.BlockSize,
-			ReorthMode: o.Reorth, MatvecWorkers: o.MatvecParallelism,
-		},
-		RecursionDepth: o.RecursionDepth,
-		Parallelism:    o.Parallelism,
-		Rec:            o.Rec,
-		Ctx:            o.Ctx,
-		Fault:          o.Fault,
-	})
-	if err != nil {
-		return IGMatchResult{}, err
-	}
-	return IGMatchResult{
-		Result:        Result{Partition: res.Partition, Metrics: res.Metrics},
-		Lambda2:       res.Lambda2,
-		NetOrder:      res.NetOrder,
-		BestRank:      res.BestRank,
-		MatchingBound: res.BestMatching,
-	}, nil
+	return igMatch(h, core.Partition, opts)
 }
 
 // IGMatchCandidates runs the million-net-scale variant of IG-Match: the
@@ -264,14 +239,20 @@ func IGMatch(h *Netlist, opts ...IGMatchOptions) (IGMatchResult, error) {
 // circuits the full sweep is affordable and strictly at least as good;
 // above ~10⁵ nets the candidate sweep is the practical choice.
 func IGMatchCandidates(h *Netlist, candidates int, opts ...IGMatchOptions) (IGMatchResult, error) {
+	return igMatch(h, func(h *Netlist, co core.Options) (core.Result, error) {
+		return core.PartitionCandidates(h, candidates, co)
+	}, opts)
+}
+
+// igMatch is the one IGMatchOptions-to-core mapping behind IGMatch and
+// IGMatchCandidates: it builds core.Options from the first of opts (the
+// zero value when absent), runs solve, and lifts core's result.
+func igMatch(h *Netlist, solve func(*Netlist, core.Options) (core.Result, error), opts []IGMatchOptions) (IGMatchResult, error) {
 	var o IGMatchOptions
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	if candidates <= 0 {
-		candidates = core.DefaultCandidates
-	}
-	res, err := core.PartitionCandidates(h, candidates, core.Options{
+	res, err := solve(h, core.Options{
 		IG: netmodel.IGOptions{Scheme: o.Scheme, Threshold: o.Threshold},
 		Eigen: eigen.Options{
 			Seed: o.Seed, BlockSize: o.BlockSize,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"igpart/internal/fault"
+	"igpart/internal/hypergraph"
 	"igpart/internal/obs"
 )
 
@@ -32,63 +33,80 @@ func (p *panicRecorder) End()                   {}
 func (p *panicRecorder) Metrics() *obs.Registry { return p.reg }
 func (p *panicRecorder) Enabled() bool          { return true }
 
-// TestSweepShardPanicIsolated asserts the shard recover barrier: a panic
-// raised inside a shard — serial or on a worker goroutine — must not
-// crash the process, must surface as a structured PanicError with a
-// captured stack, and must bump the sweep.shard_panics counter.
+// sweeps are the two sweeps the fault tests drive — the full sweep and
+// the candidate sweep at 12 candidates — each named by the word its
+// shard-panic error uses.
+var sweeps = []struct {
+	name string
+	run  func(h *hypergraph.Hypergraph, opts Options) (Result, error)
+}{
+	{"sweep", Partition},
+	{"candidate", func(h *hypergraph.Hypergraph, opts Options) (Result, error) {
+		return PartitionCandidates(h, 12, opts)
+	}},
+}
+
+// TestSweepShardPanicIsolated asserts the shard recover barrier of the
+// full and the candidate sweep: a panic raised inside a shard — serial
+// or on a worker goroutine — must not crash the process, must surface as
+// a structured PanicError with a captured stack, and must bump the
+// sweep.shard_panics counter.
 func TestSweepShardPanicIsolated(t *testing.T) {
 	h := randomCircuit(t, 1)
-	for _, p := range []int{1, 4} {
-		reg := new(obs.Registry)
-		_, err := Partition(h, Options{Parallelism: p, Rec: &panicRecorder{reg: reg}})
-		if err == nil {
-			t.Fatalf("P=%d: shard panic did not fail the run", p)
-		}
-		if !strings.Contains(err.Error(), "sweep shard panicked") {
-			t.Fatalf("P=%d: err = %v, want sweep-shard-panicked wrapper", p, err)
-		}
-		pe, ok := fault.AsPanic(err)
-		if !ok {
-			t.Fatalf("P=%d: err = %v, want wrapped fault.PanicError", p, err)
-		}
-		if !strings.Contains(pe.Error(), "synthetic shard failure") {
-			t.Fatalf("P=%d: panic value lost: %v", p, pe)
-		}
-		if len(pe.Stack) == 0 {
-			t.Fatalf("P=%d: panic stack not captured", p)
-		}
-		if got := reg.Snapshot().Counters["sweep.shard_panics"]; got < 1 {
-			t.Fatalf("P=%d: sweep.shard_panics = %d, want ≥ 1", p, got)
+	for _, sw := range sweeps {
+		for _, p := range []int{1, 4} {
+			reg := new(obs.Registry)
+			_, err := sw.run(h, Options{Parallelism: p, Rec: &panicRecorder{reg: reg}})
+			if err == nil {
+				t.Fatalf("%s P=%d: shard panic did not fail the run", sw.name, p)
+			}
+			if want := "core: " + sw.name + " shard panicked"; !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s P=%d: err = %v, want %q wrapper", sw.name, p, err, want)
+			}
+			pe, ok := fault.AsPanic(err)
+			if !ok {
+				t.Fatalf("%s P=%d: err = %v, want wrapped fault.PanicError", sw.name, p, err)
+			}
+			if !strings.Contains(pe.Error(), "synthetic shard failure") {
+				t.Fatalf("%s P=%d: panic value lost: %v", sw.name, p, pe)
+			}
+			if len(pe.Stack) == 0 {
+				t.Fatalf("%s P=%d: panic stack not captured", sw.name, p)
+			}
+			if got := reg.Snapshot().Counters["sweep.shard_panics"]; got < 1 {
+				t.Fatalf("%s P=%d: sweep.shard_panics = %d, want ≥ 1", sw.name, p, got)
+			}
 		}
 	}
 }
 
 // TestSlowShardInjectionParity asserts that the sweep.slow-shard point
-// only adds latency: results under injection are bit-identical to a
-// clean run at the same parallelism.
+// fires on the shards of the full and the candidate sweep and only adds
+// latency: results under injection are bit-identical to a clean run at
+// the same parallelism.
 func TestSlowShardInjectionParity(t *testing.T) {
 	h := randomCircuit(t, 2)
-	clean, err := Partition(h, Options{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj, err := fault.New(7, nil, fault.Rule{Point: fault.SweepSlowShard})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := Partition(h, Options{Parallelism: 4, Fault: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inj.Fires(fault.SweepSlowShard) < 1 {
-		t.Fatal("slow-shard point never fired")
-	}
-	if clean.BestRank != slow.BestRank || clean.Metrics != slow.Metrics {
-		t.Fatalf("slow-shard injection changed the result: %+v vs %+v", clean.Metrics, slow.Metrics)
-	}
-	for v := 0; v < h.NumModules(); v++ {
-		if clean.Partition.Side(v) != slow.Partition.Side(v) {
-			t.Fatalf("module %d on different sides under slow-shard injection", v)
+	for _, sw := range sweeps {
+		clean, err := sw.run(h, Options{Parallelism: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj, err := fault.New(7, nil, fault.Rule{Point: fault.SweepSlowShard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slow, err := sw.run(h, Options{Parallelism: 4, Fault: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inj.Fires(fault.SweepSlowShard) < 1 {
+			t.Fatalf("%s: slow-shard point never fired", sw.name)
+		}
+		if clean.BestRank != slow.BestRank || clean.Metrics != slow.Metrics {
+			t.Fatalf("%s: slow-shard injection changed the result: %+v vs %+v", sw.name, clean.Metrics, slow.Metrics)
+		}
+		if !samePartition(clean.Partition, slow.Partition) {
+			t.Fatalf("%s: module sides differ under slow-shard injection", sw.name)
 		}
 	}
 }

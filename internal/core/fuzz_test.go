@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"igpart/internal/hypergraph"
+	"igpart/internal/partition"
 )
 
 // FuzzSweep checks the sweep's output split by split on tiny hypergraphs
@@ -12,12 +13,16 @@ import (
 // partition, every feasible record respects Theorem 5 (cut ≤ |MM(B)|),
 // and every record equals CompleteNetPartition's from-scratch completion
 // of that split's net sides — infeasible in both or equal in matching
-// size, cut and ratio cut.
+// size, cut and ratio cut. The candidate sweep over the same order, at a
+// fuzzed budget (0 selects the default), must trace each probed rank
+// exactly as the full sweep does and return the lowest-rank best of
+// those records — or fail, serial and sharded alike, when none of them
+// is feasible.
 func FuzzSweep(f *testing.F) {
-	f.Add(uint8(6), []byte{2, 0, 1, 2, 1, 2, 3, 0, 3, 2, 4, 5}, []byte{3, 1, 4, 1, 5})
-	f.Add(uint8(9), []byte{3, 0, 1, 2, 3, 3, 4, 5, 2, 5, 6, 2, 7, 8, 2, 0, 8}, []byte{9, 2, 6})
-	f.Add(uint8(12), []byte{4, 0, 1, 2, 3, 2, 3, 4, 4, 4, 5, 6, 7, 1, 7, 3, 7, 8, 9, 2, 9, 10, 2, 10, 11, 0, 2, 11, 0}, []byte{})
-	f.Fuzz(func(t *testing.T, nMod uint8, nets, perm []byte) {
+	f.Add(uint8(6), []byte{2, 0, 1, 2, 1, 2, 3, 0, 3, 2, 4, 5}, []byte{3, 1, 4, 1, 5}, uint8(3))
+	f.Add(uint8(9), []byte{3, 0, 1, 2, 3, 3, 4, 5, 2, 5, 6, 2, 7, 8, 2, 0, 8}, []byte{9, 2, 6}, uint8(0))
+	f.Add(uint8(12), []byte{4, 0, 1, 2, 3, 2, 3, 4, 4, 4, 5, 6, 7, 1, 7, 3, 7, 8, 9, 2, 9, 10, 2, 10, 11, 0, 2, 11, 0}, []byte{}, uint8(7))
+	f.Fuzz(func(t *testing.T, nMod uint8, nets, perm []byte, budget uint8) {
 		n := int(nMod)%11 + 2
 		b := hypergraph.NewBuilder().SetNumModules(n)
 		// Decode nets as a stream: one size byte, then that many pins mod n.
@@ -88,5 +93,51 @@ func FuzzSweep(f *testing.F) {
 				t.Fatalf("rank %d: sweep record %+v, CompleteNetPartition matching %d %+v", rank, rec, mm, met)
 			}
 		}
+
+		var serialCand Result
+		for _, p := range []int{1, 3} {
+			var cands []SplitRecord
+			res, err := PartitionCandidatesWithOrder(h, order, int(budget), Options{Parallelism: p, Trace: &cands})
+			if len(cands) == 0 {
+				t.Fatalf("P=%d budget %d: no candidate record", p, budget)
+			}
+			var best *SplitRecord
+			for i := range cands {
+				rec := &cands[i]
+				if i > 0 && rec.Rank <= cands[i-1].Rank {
+					t.Fatalf("P=%d budget %d: candidate ranks %d, %d not ascending", p, budget, cands[i-1].Rank, rec.Rank)
+				}
+				if !sameRecord(*rec, serial[rec.Rank-1]) {
+					t.Fatalf("P=%d budget %d: candidate record %+v, full sweep has %+v", p, budget, *rec, serial[rec.Rank-1])
+				}
+				if rec.CutNets >= 0 && (best == nil || better(recMetrics(*rec), recMetrics(*best))) {
+					best = rec
+				}
+			}
+			if best == nil {
+				if err == nil {
+					t.Fatalf("P=%d budget %d: no candidate record is feasible, yet the run returned rank %d", p, budget, res.BestRank)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("P=%d budget %d: best candidate %+v, yet the run failed: %v", p, budget, *best, err)
+			}
+			if res.BestRank != best.Rank || res.BestMatching != best.MatchingSize ||
+				res.Metrics.CutNets != best.CutNets || res.Metrics.RatioCut != best.RatioCut {
+				t.Fatalf("P=%d budget %d: winner rank %d (matching %d, %+v), lowest-rank best record %+v",
+					p, budget, res.BestRank, res.BestMatching, res.Metrics, *best)
+			}
+			if p == 1 {
+				serialCand = res
+			} else if !samePartition(res.Partition, serialCand.Partition) {
+				t.Fatalf("budget %d: P=%d candidate partition differs from P=1's", budget, p)
+			}
+		}
 	})
+}
+
+// recMetrics views a feasible split record as the metrics better ranks.
+func recMetrics(r SplitRecord) partition.Metrics {
+	return partition.Metrics{CutNets: r.CutNets, RatioCut: r.RatioCut}
 }

@@ -16,6 +16,13 @@
 //     in bulk to whichever side gives the better ratio cut.
 //  4. Return the best module partition over all splits.
 //
+// One walker serves every sweep: the full sweep hands it each rank of the
+// ordering, a windowed sweep (warm starts, balance budgets) the ranks of
+// its window, and the candidate sweep of scalable.go a spaced subset. A
+// rank that follows the previous one advances the matching by one move; a
+// rank after a gap is bootstrapped from scratch, which reaches the same
+// split because the Even/Odd classes are canonical over maximum matchings.
+//
 // Theorems 4–5 guarantee each completion cuts at most |maximum matching(B)|
 // nets. Theorem 6 bounds the matching maintenance over the whole sweep by
 // O(m·(m+e)) for m nets. Both per-split kernels are output-sensitive on
@@ -39,6 +46,7 @@ import (
 	"igpart/internal/hypergraph"
 	"igpart/internal/netmodel"
 	"igpart/internal/obs"
+	"igpart/internal/par"
 	"igpart/internal/partition"
 	"igpart/internal/sparse"
 )
@@ -59,11 +67,12 @@ type Options struct {
 	// instead of only being bulk-assigned, and the better completion wins.
 	// The value bounds the recursion depth.
 	RecursionDepth int
-	// Trace, when non-nil, receives one record per sweep split.
+	// Trace, when non-nil, receives one record per swept split: every
+	// rank of the sweep window, or every probed candidate rank.
 	Trace *[]SplitRecord
-	// Parallelism bounds the number of concurrent sweep shards: the rank
-	// range 1..m−1 is cut into that many contiguous pieces, each swept by
-	// its own incrementally-maintained matcher bootstrapped from scratch
+	// Parallelism bounds the number of concurrent sweep shards: the swept
+	// ranks are cut into that many contiguous pieces, each walked by its
+	// own incrementally-maintained matcher bootstrapped from scratch
 	// (Hopcroft–Karp) at the shard boundary. 0 uses GOMAXPROCS; 1 forces
 	// the serial engine. The result is bit-identical for every value: the
 	// shard reduction breaks metric ties by lowest rank, exactly the order
@@ -94,9 +103,10 @@ type Options struct {
 	// production default — imposes nothing and keeps the sweep
 	// bit-identical to the paper engine. See constrained.go.
 	Balance *Balance
-	// SweepLo and SweepHi, when SweepHi > 0, restrict the sweep to the
-	// 1-based rank window [SweepLo, SweepHi] (intersected with whatever
-	// window a Balance budget already imposes). The caller asserts that
+	// SweepLo and SweepHi, when SweepHi > 0, restrict the sweep — full or
+	// candidate — to the 1-based rank window [SweepLo, SweepHi]
+	// (intersected with whatever window a Balance budget already imposes,
+	// and the candidates spread over it). The caller asserts that
 	// the globally best split lies inside the window: a warm start from
 	// a previous run on a perturbed netlist sweeps only ranks near the
 	// previous winner instead of all m−1 splits. Because the shard
@@ -154,8 +164,14 @@ type Result struct {
 
 // Partition runs IG-Match on the netlist h.
 func Partition(h *hypergraph.Hypergraph, opts Options) (Result, error) {
-	m := h.NumNets()
-	if m < 2 {
+	return fiedlerSweep(h, 0, opts)
+}
+
+// fiedlerSweep runs the whole pipeline behind Partition and
+// PartitionCandidates: the Fiedler order of h, swept in full (budget 0)
+// or at budget evenly spaced candidate ranks.
+func fiedlerSweep(h *hypergraph.Hypergraph, budget int, opts Options) (Result, error) {
+	if h.NumNets() < 2 {
 		return Result{}, errors.New("core: IG-Match needs at least 2 nets")
 	}
 	if h.NumModules() < 2 {
@@ -165,7 +181,7 @@ func Partition(h *hypergraph.Hypergraph, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := sweep(h, order, opts)
+	res, err := sweep(h, order, budget, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -214,10 +230,7 @@ func fiedlerOrder(h *hypergraph.Hypergraph, opts Options) ([]int, float64, error
 // machinery independently of the eigensolve, which the tests and the
 // recursive extension rely on.
 func PartitionWithOrder(h *hypergraph.Hypergraph, order []int, opts Options) (Result, error) {
-	if len(order) != h.NumNets() {
-		return Result{}, fmt.Errorf("core: order has %d entries, want %d", len(order), h.NumNets())
-	}
-	return sweep(h, order, opts)
+	return sweep(h, order, 0, opts)
 }
 
 // SortNetsByVector returns net indices sorted by ascending eigenvector
@@ -280,15 +293,21 @@ func IGAdjacency(h *hypergraph.Hypergraph) [][]int {
 	return adj
 }
 
-// sweep runs the IG-Match main loop over the given net order, dispatching
-// between the serial engine (one incremental matcher walking every split)
-// and the parallel sharded engine of parallel.go. Each shard builds its
-// completer state once at its first split and then carries it from split
-// to split (see completer), so both Phase II bulk options are read in O(1)
-// per split, and a concrete partition is only materialized when the split
-// improves on the shard's best so far.
-func sweep(h *hypergraph.Hypergraph, order []int, opts Options) (Result, error) {
+// sweep runs the IG-Match main loop over the given net order: budget 0
+// walks every rank of the sweep window (the full sweep), a positive
+// budget that many evenly spaced ranks of it (the candidate sweep). The
+// ranks are cut into contiguous shards, each walked by sweepShard behind
+// the recover barrier of parallel.go, and the shard winners are reduced
+// once. Each shard builds its completer state once at its first split
+// and then carries it from split to split (see completer), so both
+// Phase II bulk options are read in O(1) per split, and a concrete
+// partition is only materialized when the split improves on the shard's
+// best so far.
+func sweep(h *hypergraph.Hypergraph, order []int, budget int, opts Options) (Result, error) {
 	m := h.NumNets()
+	if len(order) != m {
+		return Result{}, fmt.Errorf("core: order has %d entries, want %d", len(order), m)
+	}
 	cons, err := newConstraints(opts, h.NumModules())
 	if err != nil {
 		return Result{}, err
@@ -297,7 +316,7 @@ func sweep(h *hypergraph.Hypergraph, order []int, opts Options) (Result, error) 
 	sp := rec.StartSpan("conflict-adjacency")
 	adj := IGAdjacency(h)
 	sp.End()
-	nSplits := m - 1
+	nSplits := max(m-1, 0) // an empty order has no split
 
 	// A balance budget prunes the sweep to the rank window that can
 	// plausibly reach it; unconstrained runs sweep every rank as before.
@@ -320,17 +339,49 @@ func sweep(h *hypergraph.Hypergraph, order []int, opts Options) (Result, error) 
 		}
 	}
 
-	// Pre-sized trace of the swept window, indexed by rank−loRank so
-	// parallel workers write their shard's slots without locks; appended
-	// to opts.Trace at the end, which keeps the serial append semantics
+	// The two sweeps keep their own span name and error wording.
+	spanName, shardName, sweepName, splitName := "sweep", "sweep shard", "sweep", "split"
+	var ranks []int
+	if budget > 0 {
+		spanName, shardName, sweepName, splitName = "candidate-sweep", "candidate shard", "candidate sweep", "candidate split"
+		ranks = candidateRanksWindow(budget, loRank, hiRank)
+	} else {
+		ranks = make([]int, 0, hiRank-loRank+1)
+		for rank := loRank; rank <= hiRank; rank++ {
+			ranks = append(ranks, rank)
+		}
+	}
+
+	// Pre-sized trace of the walked ranks, indexed like ranks so parallel
+	// workers write their shard's slots without locks; appended to
+	// opts.Trace at the end, which keeps the serial append semantics
 	// bit-identical.
 	var trace []SplitRecord
 	if opts.Trace != nil {
-		trace = make([]SplitRecord, hiRank-loRank+1)
+		trace = make([]SplitRecord, len(ranks))
 	}
 
-	sw := rec.StartSpan("sweep")
-	shards := runShards(opts.Ctx, h, adj, order, loRank, hiRank, shardCount(opts.Parallelism, hiRank-loRank+1), trace, sw, opts.Fault, cons)
+	// Shards take contiguous pieces of the rank list; an order of fewer
+	// than two nets has no rank and runs no shard, and one shard stays on
+	// the calling goroutine. Each shard records under its own child span,
+	// opened before the workers launch so the stage tree lists shards in
+	// ascending rank order regardless of scheduling.
+	sw := rec.StartSpan(spanName)
+	p := min(par.Workers(opts.Parallelism, len(ranks)), len(ranks))
+	bounds := par.Bounds(p, len(ranks))
+	spans := make([]obs.Recorder, p)
+	for i := range p {
+		spans[i] = shardSpan(sw, ranks[bounds[i][0]], ranks[bounds[i][1]-1]+1)
+	}
+	shards := make([]shardBest, p)
+	par.Run(p, func(i int) {
+		lo, hi := bounds[i][0], bounds[i][1]
+		var shardTrace []SplitRecord
+		if trace != nil {
+			shardTrace = trace[lo:hi]
+		}
+		shards[i] = safeSweepShard(opts.Ctx, h, adj, order, ranks[lo:hi], shardTrace, spans[i], opts.Fault, cons)
+	})
 
 	// Deterministic reduction: shards cover ascending rank ranges, and a
 	// later shard only displaces the incumbent on a strict metric
@@ -343,9 +394,9 @@ func sweep(h *hypergraph.Hypergraph, order []int, opts Options) (Result, error) 
 		if sb.err != nil {
 			sw.End()
 			if _, ok := fault.AsPanic(sb.err); ok {
-				return Result{}, fmt.Errorf("core: sweep shard panicked: %w", sb.err)
+				return Result{}, fmt.Errorf("core: %s panicked: %w", shardName, sb.err)
 			}
-			return Result{}, fmt.Errorf("core: sweep cancelled: %w", sb.err)
+			return Result{}, fmt.Errorf("core: %s cancelled: %w", sweepName, sb.err)
 		}
 		if sb.have && better(sb.met, bestCost) {
 			bestCost = sb.met
@@ -356,7 +407,10 @@ func sweep(h *hypergraph.Hypergraph, order []int, opts Options) (Result, error) 
 			haveBest = true
 		}
 	}
-	sw.Count("shards", int64(len(shards)))
+	if budget > 0 {
+		sw.Count("candidates", int64(len(ranks)))
+	}
+	sw.Count("shards", int64(p))
 	sw.End()
 	if opts.Trace != nil {
 		*opts.Trace = append(*opts.Trace, trace...)
@@ -365,10 +419,14 @@ func sweep(h *hypergraph.Hypergraph, order []int, opts Options) (Result, error) 
 		if cons != nil {
 			return Result{}, ErrNoFeasibleCompletion
 		}
-		return Result{}, errors.New("core: no proper completion found (every split left one side empty)")
+		return Result{}, fmt.Errorf("core: no proper completion found (every %s left one side empty)", splitName)
 	}
-	rec.Metrics().Gauge("sweep.best_rank").Set(float64(best.BestRank))
-	rec.Metrics().Gauge("sweep.best_ratio").Set(best.Metrics.RatioCut)
+	reg := rec.Metrics()
+	if budget > 0 {
+		reg.Counter("sweep.candidates").Add(int64(len(ranks)))
+	}
+	reg.Gauge("sweep.best_rank").Set(float64(best.BestRank))
+	reg.Gauge("sweep.best_ratio").Set(best.Metrics.RatioCut)
 
 	// The recursive extension's completion machinery is pin- and
 	// balance-oblivious, so it only augments unconstrained runs.
@@ -406,36 +464,36 @@ func winnersAt(adj [][]int, order []int, rank int) bipartite.Sets {
 	return bipartite.NewMatcherAt(adj, inR).Winners()
 }
 
-// sweepShard sweeps the contiguous rank range [lo, hi) with its own
-// incremental matcher and completer. A shard starting past rank 1 is
-// bootstrapped with a from-scratch Hopcroft–Karp matching at its boundary
-// split; from there every split is handled exactly as in the serial sweep,
-// so per-split trace records and the shard-local best are identical to the
-// serial engine's view of the same ranks. When trace is non-nil it holds
-// the shard's own slots, and the shard writes rank's record at
-// trace[rank−lo].
+// sweepShard walks the ascending ranks of one shard with an incremental
+// matcher and completer. A rank that directly follows the previous one is
+// reached by one move, exactly as in the serial sweep: MoveToR, Classify
+// and the completer's advance. Any other rank — the shard's first, or the
+// next candidate after a gap — extends the inR prefix up to it and
+// bootstraps a fresh matcher there with a from-scratch Hopcroft–Karp
+// matching (bipartite.NewMatcherAt) and a fresh completer build; the
+// prefix only marches forward, so a shard fills it in O(m) total.
+// Because the Even/Odd/Core classification is canonical over maximum
+// matchings (Dulmage–Mendelsohn), both reach the per-split state the
+// serial sweep has at that rank, so per-split trace records and the
+// shard-local best are identical to the serial engine's view of the same
+// ranks. When trace is non-nil it holds the shard's own slots, and the
+// shard writes ranks[i]'s record at trace[i].
 //
 // sp is the shard's stage span. Per-split tallies stay in local integers
 // regardless of tracing and are flushed to the span (and the run-wide
 // registry) once at shard exit, so the traced and untraced loops execute
-// the same per-split instructions.
-func sweepShard(ctx context.Context, h *hypergraph.Hypergraph, adj [][]int, order []int, lo, hi int, trace []SplitRecord, sp obs.Recorder, cons *constraints) shardBest {
+// the same per-split instructions. Augmentations are summed over the
+// shard's matchers.
+func sweepShard(ctx context.Context, h *hypergraph.Hypergraph, adj [][]int, order []int, ranks []int, trace []SplitRecord, sp obs.Recorder, cons *constraints) shardBest {
 	var matcher *bipartite.Matcher
-	if lo == 1 {
-		matcher = bipartite.NewMatcher(adj)
-	} else {
-		inR := make([]bool, len(adj))
-		for i := 0; i < lo-1; i++ {
-			inR[order[i]] = true
-		}
-		matcher = bipartite.NewMatcherAt(adj, inR)
-	}
 	comp := newCompleter(h, cons)
+	inR := make([]bool, len(adj))
+	prefix, prev := 0, 0 // nets of order marked in inR; the last rank walked
 
 	var sb shardBest
 	bestCost := partition.Metrics{RatioCut: inf()}
-	var winners, improved, infeasible, scanned, reclassified int64
-	for rank := lo; rank < hi; rank++ {
+	var winners, improved, infeasible, scanned, reclassified, augmentations int64
+	for i, rank := range ranks {
 		// Cooperative cancellation at split granularity: a split costs
 		// work in proportion to the matched nets and the nets and modules
 		// that change class, so one context poll per split is negligible
@@ -447,13 +505,24 @@ func sweepShard(ctx context.Context, h *hypergraph.Hypergraph, adj [][]int, orde
 			}
 		}
 		moved := order[rank-1]
+		bootstrap := matcher == nil || rank != prev+1
+		if bootstrap {
+			if matcher != nil {
+				augmentations += int64(matcher.Augmentations())
+			}
+			for ; prefix < rank-1; prefix++ {
+				inR[order[prefix]] = true
+			}
+			matcher = bipartite.NewMatcherAt(adj, inR)
+		}
 		matcher.MoveToR(moved)
 		scanned += int64(matcher.Classify())
-		if rank == lo {
+		if bootstrap {
 			comp.build(matcher)
 		} else {
 			reclassified += int64(comp.advance(matcher, moved))
 		}
+		prev = rank
 		winners += int64(comp.winners)
 		met, vnSide, ok := comp.score()
 		if trace != nil {
@@ -467,7 +536,7 @@ func sweepShard(ctx context.Context, h *hypergraph.Hypergraph, adj [][]int, orde
 				rec.CutNets = -1
 				rec.RatioCut = math.Inf(1)
 			}
-			trace[rank-lo] = rec
+			trace[i] = rec
 		}
 		if !ok {
 			infeasible++
@@ -483,7 +552,10 @@ func sweepShard(ctx context.Context, h *hypergraph.Hypergraph, adj [][]int, orde
 			sb.matching = matcher.MatchingSize()
 		}
 	}
-	splits := int64(hi - lo)
+	if matcher != nil {
+		augmentations += int64(matcher.Augmentations())
+	}
+	splits := int64(len(ranks))
 	sp.Count("splits", splits)
 	sp.Count("phase1-winners", winners)
 	sp.Count("phase1-scanned", scanned)
@@ -491,10 +563,10 @@ func sweepShard(ctx context.Context, h *hypergraph.Hypergraph, adj [][]int, orde
 	sp.Count("phase2-evals", splits-infeasible)
 	sp.Count("infeasible", infeasible)
 	sp.Count("improved", improved)
-	sp.Count("augmentations", int64(matcher.Augmentations()))
+	sp.Count("augmentations", augmentations)
 	reg := sp.Metrics()
 	reg.Counter("sweep.splits").Add(splits)
-	reg.Counter("sweep.augmentations").Add(int64(matcher.Augmentations()))
+	reg.Counter("sweep.augmentations").Add(augmentations)
 	reg.Counter("sweep.phase1_winners").Add(winners)
 	reg.Counter("sweep.phase1_scanned").Add(scanned)
 	reg.Counter("sweep.reclassified").Add(reclassified)
@@ -505,10 +577,10 @@ func sweepShard(ctx context.Context, h *hypergraph.Hypergraph, adj [][]int, orde
 // completer keeps the Phase II state of one split and carries it to the
 // next: each net's winner class, each module's count of winner nets per
 // side, the module coloring, each net's count of U and W pins, and the
-// cut counts of both bulk options. A shard start or a candidate builds it
-// in one O(pins) pass (build); between consecutive splits only the moved
-// net and the nets matched at the previous or the current split can
-// change winner class, so advance re-derives only those, and only
+// cut counts of both bulk options. A shard start or a rank after a gap
+// builds it in one O(pins) pass (build); between consecutive splits only
+// the moved net and the nets matched at the previous or the current split
+// can change winner class, so advance re-derives only those, and only
 // modules whose color changes touch the per-net counts — KaHyPar's
 // incrementally kept per-block pin counts Φ(e, V_i) applied to the König
 // completion. evaluate then reads both bulk options in O(1).

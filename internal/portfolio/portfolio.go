@@ -145,23 +145,24 @@ func (o Options) engine(alg string) (runFunc, error) {
 			Ctx:         ctx,
 		}
 	}
+	// igMatch runs one of the IG-Match sweeps as a contender; its result
+	// keeps the net order and winning rank that warm starts reuse.
+	igMatch := func(solve func(*hypergraph.Hypergraph, core.Options) (core.Result, error)) runFunc {
+		return func(ctx context.Context, h *hypergraph.Hypergraph, rec obs.Recorder) (outcome, error) {
+			r, err := solve(h, coreOpts(ctx, rec))
+			if err != nil {
+				return outcome{}, err
+			}
+			return outcome{part: r.Partition, met: r.Metrics, netOrder: r.NetOrder, bestRank: r.BestRank, lambda2: r.Lambda2}, nil
+		}
+	}
 	switch alg {
 	case AlgIGMatch:
-		return func(ctx context.Context, h *hypergraph.Hypergraph, rec obs.Recorder) (outcome, error) {
-			r, err := core.Partition(h, coreOpts(ctx, rec))
-			if err != nil {
-				return outcome{}, err
-			}
-			return outcome{part: r.Partition, met: r.Metrics, netOrder: r.NetOrder, bestRank: r.BestRank, lambda2: r.Lambda2}, nil
-		}, nil
+		return igMatch(core.Partition), nil
 	case AlgCandidates:
-		return func(ctx context.Context, h *hypergraph.Hypergraph, rec obs.Recorder) (outcome, error) {
-			r, err := core.PartitionCandidates(h, 0, coreOpts(ctx, rec))
-			if err != nil {
-				return outcome{}, err
-			}
-			return outcome{part: r.Partition, met: r.Metrics, netOrder: r.NetOrder, bestRank: r.BestRank, lambda2: r.Lambda2}, nil
-		}, nil
+		return igMatch(func(h *hypergraph.Hypergraph, co core.Options) (core.Result, error) {
+			return core.PartitionCandidates(h, 0, co)
+		}), nil
 	case AlgMultilevel:
 		return func(ctx context.Context, h *hypergraph.Hypergraph, rec obs.Recorder) (outcome, error) {
 			r, err := multilevel.Partition(h, multilevel.Options{Core: coreOpts(ctx, obs.Nop), Rec: rec})

@@ -267,6 +267,18 @@ func (o Options) normalize() (Options, error) {
 	if o.BlockSize < 0 {
 		o.BlockSize = 0
 	}
+	// Reset what a solve never reads, so equivalent requests share a
+	// cache key: the portfolio race reads none of scheme, threshold and
+	// block size, and the spectral k-way engine solves on the module
+	// Laplacian, which reads neither scheme nor threshold. This runs
+	// after the scheme check, so an unknown scheme fails on every
+	// algorithm.
+	switch o.Algo {
+	case AlgoPortfolio:
+		o.Scheme, o.Threshold, o.BlockSize = "paper", 0, 0
+	case AlgoKWaySpectral:
+		o.Scheme, o.Threshold = "paper", 0
+	}
 	return o, nil
 }
 

@@ -366,6 +366,38 @@ func TestOptionsNormalizeAndKey(t *testing.T) {
 	}
 }
 
+// TestUnreadOptionsShareCacheKey submits a portfolio job under scheme
+// unit and then paper, and a kway-spectral job at threshold 5 and then
+// 0, on one netlist. Neither solve reads the option that differs, so
+// each second job must come from the cache. An unknown scheme still
+// fails on both algorithms.
+func TestUnreadOptionsShareCacheKey(t *testing.T) {
+	h := genNetlist(t, 60, 80, 5)
+	e := New(Config{Workers: 1})
+	defer shutdownNow(t, e)
+	for _, pair := range [][2]Options{
+		{{Algo: AlgoPortfolio, Scheme: "unit"}, {Algo: AlgoPortfolio, Scheme: "paper"}},
+		{{Algo: AlgoKWaySpectral, K: 3, Eps: 0.1, Threshold: 5}, {Algo: AlgoKWaySpectral, K: 3, Eps: 0.1}},
+	} {
+		for i, o := range pair {
+			j, err := e.Submit(Request{Netlist: h, Options: o})
+			if err != nil {
+				t.Fatalf("%s job %d: submit: %v", o.Algo, i, err)
+			}
+			s := j.Wait(context.Background())
+			if s.State != jobreg.StateDone || s.Cached != (i == 1) {
+				t.Fatalf("%s job %d (%+v): state=%s cached=%v err=%v, want done and cached=%v",
+					o.Algo, i, o, s.State, s.Cached, s.Err, i == 1)
+			}
+		}
+		bad := pair[0]
+		bad.Scheme = "bogus"
+		if _, err := e.Submit(Request{Netlist: h, Options: bad}); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("%s with an unknown scheme: err = %v, want ErrBadRequest", bad.Algo, err)
+		}
+	}
+}
+
 // TestKWayJobEndToEnd drives a balanced k-way job with pins through the
 // real engine: the result must carry the multiway fields, honor the
 // pins, and hit the cache on resubmission.
