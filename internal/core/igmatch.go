@@ -59,7 +59,8 @@ type Options struct {
 	// matching always reflects true module sharing regardless of
 	// thresholding, so completions stay correct.
 	IG netmodel.IGOptions
-	// Eigen tunes the Lanczos solver.
+	// Eigen tunes the Lanczos solver. Its Rec, Ctx and Fault are set
+	// from the eigensolve span and from Ctx and Fault below.
 	Eigen eigen.Options
 	// RecursionDepth, when positive, enables the recursive extension
 	// sketched in Section 3: at the best split, the unassigned modules of
@@ -207,15 +208,7 @@ func fiedlerOrder(h *hypergraph.Hypergraph, opts Options) ([]int, float64, error
 
 	esp := rec.StartSpan("eigensolve")
 	eo := opts.Eigen
-	if eo.Rec == nil {
-		eo.Rec = esp
-	}
-	if eo.Ctx == nil {
-		eo.Ctx = opts.Ctx
-	}
-	if eo.Fault == nil {
-		eo.Fault = opts.Fault
-	}
+	eo.Rec, eo.Ctx, eo.Fault = esp, opts.Ctx, opts.Fault
 	fied, err := eigen.Fiedler(q, eo)
 	esp.End()
 	if err != nil {

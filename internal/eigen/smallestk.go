@@ -5,40 +5,18 @@ import (
 	"fmt"
 	"math"
 
-	"igpart/internal/obs"
 	"igpart/internal/sparse"
 )
 
-// smallestKDense solves the full dense eigenproblem and returns the k
-// smallest pairs.
-func smallestKDense(q *sparse.SymCSR, k int) ([]float64, [][]float64, error) {
-	n := q.N()
-	vals, z, err := Jacobi(sparse.FromCSR(q), 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	vecs := make([][]float64, k)
-	for j := 0; j < k; j++ {
-		v := make([]float64, n)
-		for i := 0; i < n; i++ {
-			v[i] = z[i][j]
-		}
-		if !finite(v) || math.IsNaN(vals[j]) || math.IsInf(vals[j], 0) {
-			return nil, nil, ErrNonFinite
-		}
-		vecs[j] = v
-	}
-	return vals[:k], vecs, nil
-}
-
 // SmallestK computes the k smallest eigenvalues (ascending) of the
-// symmetric matrix q and their orthonormal eigenvectors. Small instances
-// use the dense Jacobi solver; larger ones run shifted Lanczos repeatedly,
-// deflating each converged eigenvector. Each deflated solve carries the
-// same fallback chain as Fiedler: a reseeded doubled-budget retry on
-// non-convergence, then — when the instance is within
-// Options.DenseFallbackCutoff — an exact dense solve of the whole
-// problem instead of an error.
+// symmetric matrix q and their orthonormal eigenvectors. It runs the
+// driver behind Fiedler with an empty deflation set: small instances are
+// solved densely by Jacobi; larger ones run shifted Lanczos once per pair,
+// deflating each converged eigenvector, and each pair carries Fiedler's
+// fallback chain — a reseeded doubled-budget retry on non-convergence,
+// then, when the instance is within Options.DenseFallbackCutoff, an exact
+// dense solve of the whole problem instead of an error. A chain that
+// fails anyway is reported with the pair it ended on ("eigen: pair j:").
 //
 // For a graph Laplacian the first pair is (0, constant vector); Hall's
 // quadratic placement (Appendix A of the paper) uses pairs 2 and 3 for a
@@ -48,49 +26,11 @@ func SmallestK(q *sparse.SymCSR, k int, opts Options) ([]float64, [][]float64, e
 	if k < 1 || k > n {
 		return nil, nil, fmt.Errorf("eigen: k=%d outside [1,%d]", k, n)
 	}
-	if n <= denseCutoff || k >= n/2 {
-		return smallestKDense(q, k)
+	vals, vecs, _, failed, err := smallestPairs(q, nil, k, opts)
+	if failed > 0 {
+		return nil, nil, fmt.Errorf("eigen: pair %d: %w", failed, err)
 	}
-
-	sigma := GershgorinUpper(q)
-	if sigma <= 0 {
-		sigma = 1
-	}
-	op := &shifted{q: q, sigma: sigma}
-	vals := make([]float64, 0, k)
-	vecs := make([][]float64, 0, k)
-	deflate := make([][]float64, 0, k)
-	for j := 0; j < k; j++ {
-		o := opts
-		o.Seed = opts.Seed + int64(j)
-		mu, x, _, err := largestWithRetry(op, deflate, o)
-		if err != nil {
-			var nc *NoConvergeError
-			if errors.As(err, &nc) && n <= opts.denseFallbackCutoff() {
-				// Dense rescue replaces the whole deflation run: the exact
-				// solver returns every pair at once.
-				obs.OrNop(opts.Rec).Metrics().Counter("eigen.fallback_jacobi").Add(1)
-				return smallestKDense(q, k)
-			}
-			return nil, nil, fmt.Errorf("eigen: pair %d: %w", j+1, err)
-		}
-		lam := sigma - mu
-		if lam < 0 && lam > -1e-9*sigma {
-			lam = 0
-		}
-		vals = append(vals, lam)
-		vecs = append(vecs, x)
-		deflate = append(deflate, x)
-	}
-	// Deflated solves can return pairs marginally out of order when
-	// eigenvalues are nearly degenerate; enforce ascending order.
-	for i := 1; i < k; i++ {
-		for j := i; j > 0 && vals[j] < vals[j-1]; j-- {
-			vals[j], vals[j-1] = vals[j-1], vals[j]
-			vecs[j], vecs[j-1] = vecs[j-1], vecs[j]
-		}
-	}
-	return vals, vecs, nil
+	return vals, vecs, err
 }
 
 // Residual returns ‖q·x − λx‖ for diagnostics and tests.

@@ -1,11 +1,14 @@
 // Package eigen implements the symmetric eigensolvers behind the spectral
-// partitioners: a Lanczos iteration with deflation and ω-monitored
-// selective reorthogonalization (full reorthogonalization below
-// ReorthAutoCutoff or on request; the sparse workhorse, standing in for
-// the block Lanczos code the paper uses), a symmetric tridiagonal QL
-// solver for the Lanczos projection, a dense Jacobi solver used for
-// cross-validation and tiny instances, and a Fiedler-vector driver that
-// ties them together.
+// partitioners as one path. LargestDeflated is the one restart loop: its
+// cycles are single-vector Lanczos (the sparse workhorse, standing in for
+// the block Lanczos code the paper uses) or block Lanczos, both with
+// deflation and ω-monitored selective reorthogonalization (full
+// reorthogonalization below ReorthAutoCutoff or on request), and both
+// finish through one Ritz-vector tail. A symmetric tridiagonal QL solver
+// serves the Lanczos projection, and a dense Jacobi solver serves
+// cross-validation, tiny instances and the rescue rung. Fiedler and
+// SmallestK are thin callers of one smallest-eigenpair driver that holds
+// the dense path, the spectral shift and the fallback chain.
 package eigen
 
 import (
