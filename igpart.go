@@ -723,20 +723,20 @@ type Placement = place.Placement
 // modules (Appendix A of the paper) and returns it with λ₂, the optimal
 // objective value.
 func PlaceHall1D(h *Netlist) (Placement, float64, error) {
-	return place.Hall1D(h, place.Options{})
+	return place.Hall1D(h)
 }
 
 // PlaceHall2D computes Hall's two-dimensional placement from eigenvectors
 // 2 and 3 of the module Laplacian.
 func PlaceHall2D(h *Netlist) (Placement, [2]float64, error) {
-	return place.Hall2D(h, place.Options{})
+	return place.Hall2D(h)
 }
 
 // PlaceNetsAsPoints embeds the nets in 2-D via the intersection graph and
 // drops each module at the centroid of its nets (the Pillage–Rohrer
 // construction cited in Section 2.2).
 func PlaceNetsAsPoints(h *Netlist) (nets, modules Placement, err error) {
-	return place.NetsAsPoints2D(h, place.Options{})
+	return place.NetsAsPoints2D(h)
 }
 
 // HPWL evaluates the half-perimeter wirelength of a module placement.

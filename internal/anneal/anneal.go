@@ -19,24 +19,21 @@ import (
 type Options struct {
 	// Sweeps is the number of full-circuit move sweeps. Default 60.
 	Sweeps int
-	// T0 is the initial temperature (in units of ratio-cut cost relative to
-	// the initial configuration). Default 0.3.
-	T0 float64
-	// Alpha is the geometric cooling factor per sweep. Default 0.92.
-	Alpha float64
 	// Seed seeds the random walk.
 	Seed int64
 }
 
+// The cooling schedule: the initial temperature, in units of ratio-cut
+// cost relative to the initial configuration, and the geometric cooling
+// factor per sweep.
+const (
+	t0    = 0.3
+	alpha = 0.92
+)
+
 func (o Options) withDefaults() Options {
 	if o.Sweeps <= 0 {
 		o.Sweeps = 60
-	}
-	if o.T0 <= 0 {
-		o.T0 = 0.3
-	}
-	if o.Alpha <= 0 || o.Alpha >= 1 {
-		o.Alpha = 0.92
 	}
 	return o
 }
@@ -87,7 +84,7 @@ func RatioCut(h *hypergraph.Hypergraph, opts Options) (Result, error) {
 	bestCost := cur
 	// Temperature is relative to the starting cost so the schedule adapts
 	// to instance scale.
-	temp := opts.T0 * math.Max(cur, 1e-12)
+	temp := t0 * math.Max(cur, 1e-12)
 	accepted := 0
 	for sweep := 0; sweep < opts.Sweeps; sweep++ {
 		for step := 0; step < n; step++ {
@@ -115,7 +112,7 @@ func RatioCut(h *hypergraph.Hypergraph, opts Options) (Result, error) {
 				sizes[from.Opposite()]--
 			}
 		}
-		temp *= opts.Alpha
+		temp *= alpha
 	}
 	return Result{
 		Partition: best,

@@ -23,12 +23,8 @@ type Options struct {
 	TargetRatio float64
 	// Levels bounds the number of coarsening rounds. Default 3.
 	Levels int
-	// Core configures the coarse-level IG-Match solve.
-	Core core.Options
-	// Refine configures FM polishing; Refine.MaxPasses=0 uses the FM
-	// default.
-	Refine fm.Options
-	// SkipRefine disables the FM polish (for ablation).
+	// SkipRefine disables the FM polish (for ablation). The coarse level
+	// is solved by IG-Match and the polish is FM, both at their defaults.
 	SkipRefine bool
 }
 
@@ -82,7 +78,7 @@ func Partition(h *hypergraph.Hypergraph, opts Options) (Result, error) {
 		rounds++
 	}
 
-	res, err := core.Partition(cur, opts.Core)
+	res, err := core.Partition(cur, core.Options{})
 	if err != nil {
 		return Result{}, err
 	}
@@ -100,7 +96,7 @@ func Partition(h *hypergraph.Hypergraph, opts Options) (Result, error) {
 	}
 
 	if !opts.SkipRefine {
-		if _, _, err := fm.RefinePartition(h, p, opts.Refine); err != nil {
+		if _, _, err := fm.RefinePartition(h, p, fm.Options{}); err != nil {
 			return Result{}, err
 		}
 	}

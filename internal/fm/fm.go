@@ -22,8 +22,6 @@ type Options struct {
 	// Starts is the number of random initial partitions tried (best kept).
 	// Default 1.
 	Starts int
-	// MaxPasses bounds the improvement passes per start. Default 16.
-	MaxPasses int
 	// BalanceTolerance is the allowed deviation from the target split as a
 	// fraction of the module count, used only by Bisect. Default 0.1.
 	BalanceTolerance float64
@@ -47,12 +45,12 @@ type Options struct {
 	Seed int64
 }
 
+// maxPasses bounds the improvement passes per start.
+const maxPasses = 16
+
 func (o Options) withDefaults() Options {
 	if o.Starts <= 0 {
 		o.Starts = 1
-	}
-	if o.MaxPasses <= 0 {
-		o.MaxPasses = 16
 	}
 	if o.BalanceTolerance <= 0 {
 		o.BalanceTolerance = 0.1
@@ -440,7 +438,7 @@ func runMultiStart(h *hypergraph.Hypergraph, opts Options, objective passObjecti
 		e := newEngine(h, p)
 		filter := mkFilter(e)
 		passes := 0
-		for pass := 0; pass < opts.MaxPasses; pass++ {
+		for pass := 0; pass < maxPasses; pass++ {
 			passes++
 			if !e.runPass(filter, objective) {
 				break

@@ -29,7 +29,7 @@ func RefinePartition(h *hypergraph.Hypergraph, p *partition.Bipartition, opts Op
 	}
 	objective := ratioObjective(opts.UseWeights)
 	passes := 0
-	for pass := 0; pass < opts.MaxPasses; pass++ {
+	for pass := 0; pass < maxPasses; pass++ {
 		passes++
 		if !e.runPass(filter, objective) {
 			break

@@ -19,12 +19,9 @@ import (
 	"igpart/internal/partition"
 )
 
-// Options configures an IG-Vote run.
+// Options configures an IG-Vote run. The intersection graph and its
+// Fiedler vector are built with the default options.
 type Options struct {
-	// IG configures intersection-graph construction.
-	IG netmodel.IGOptions
-	// Eigen tunes the Lanczos solver.
-	Eigen eigen.Options
 	// MoveThreshold is the fraction of a module's total net weight that
 	// must shift before the module follows (the paper uses 1/2).
 	// Default 0.5.
@@ -52,8 +49,8 @@ func Partition(h *hypergraph.Hypergraph, opts Options) (Result, error) {
 	if opts.MoveThreshold <= 0 {
 		opts.MoveThreshold = 0.5
 	}
-	q := netmodel.IGLaplacian(h, opts.IG)
-	fied, err := eigen.Fiedler(q, opts.Eigen)
+	q := netmodel.IGLaplacian(h, netmodel.IGOptions{})
+	fied, err := eigen.Fiedler(q, eigen.Options{})
 	if err != nil {
 		return Result{}, fmt.Errorf("igvote: eigensolve failed: %w", err)
 	}

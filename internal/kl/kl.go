@@ -18,24 +18,21 @@ import (
 
 // Options configures a KL run.
 type Options struct {
-	// MaxPasses bounds improvement passes. Default 8.
-	MaxPasses int
-	// Candidates is how many top-D vertices per side are examined when
-	// selecting each swap pair (the classical speedup). Default 8.
-	Candidates int
 	// Seed seeds the random initial bisection.
 	Seed int64
 	// Starts is the number of random restarts. Default 1.
 	Starts int
 }
 
+const (
+	// maxPasses bounds the improvement passes of a start.
+	maxPasses = 8
+	// candidates is how many top-D vertices per side are examined when
+	// selecting each swap pair (the classical speedup).
+	candidates = 8
+)
+
 func (o Options) withDefaults() Options {
-	if o.MaxPasses <= 0 {
-		o.MaxPasses = 8
-	}
-	if o.Candidates <= 0 {
-		o.Candidates = 8
-	}
 	if o.Starts <= 0 {
 		o.Starts = 1
 	}
@@ -68,7 +65,7 @@ func Bisect(h *hypergraph.Hypergraph, opts Options) (Result, error) {
 	bestCut := math.Inf(1)
 	for s := 0; s < opts.Starts; s++ {
 		side := randomBisection(n, rng)
-		cut := runKL(g, side, opts)
+		cut := runKL(g, side)
 		if cut < bestCut {
 			bestCut = cut
 			sides := make([]partition.Side, n)
@@ -95,11 +92,11 @@ func randomBisection(n int, rng *rand.Rand) []bool {
 }
 
 // runKL improves side in place and returns the final weighted edge cut.
-func runKL(g *sparse.SymCSR, side []bool, opts Options) float64 {
+func runKL(g *sparse.SymCSR, side []bool) float64 {
 	n := g.N()
 	d := make([]float64, n)
 	locked := make([]bool, n)
-	for pass := 0; pass < opts.MaxPasses; pass++ {
+	for pass := 0; pass < maxPasses; pass++ {
 		computeD(g, side, d)
 		for i := range locked {
 			locked[i] = false
@@ -112,7 +109,7 @@ func runKL(g *sparse.SymCSR, side []bool, opts Options) float64 {
 		total := 0.0
 		bestPrefix, bestTotal := 0, 0.0
 		for k := 0; k < n/2; k++ {
-			a, b, gain := pickPair(g, side, d, locked, opts.Candidates)
+			a, b, gain := pickPair(g, side, d, locked)
 			if a < 0 {
 				break
 			}
@@ -158,11 +155,11 @@ func computeD(g *sparse.SymCSR, side []bool, d []float64) {
 	}
 }
 
-// pickPair selects the best swap among the top-Candidates D values on each
+// pickPair selects the best swap among the top-candidates D values on each
 // side. Returns (−1, −1, 0) when no unlocked pair remains.
-func pickPair(g *sparse.SymCSR, side []bool, d []float64, locked []bool, cand int) (int, int, float64) {
-	topU := topCandidates(d, side, locked, true, cand)
-	topW := topCandidates(d, side, locked, false, cand)
+func pickPair(g *sparse.SymCSR, side []bool, d []float64, locked []bool) (int, int, float64) {
+	topU := topCandidates(d, side, locked, true, candidates)
+	topW := topCandidates(d, side, locked, false, candidates)
 	if len(topU) == 0 || len(topW) == 0 {
 		return -1, -1, 0
 	}

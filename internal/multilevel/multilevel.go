@@ -71,10 +71,9 @@ type Options struct {
 	// every coarsening round and uncoarsening level for cooperative
 	// cancellation.
 	Core core.Options
-	// Refine configures the per-level FM polish.
-	Refine fm.Options
-	// SkipRefine disables the per-level FM polish (projection and König
-	// re-completion only) — the refinement ablation.
+	// SkipRefine disables the per-level FM polish, run at FM's defaults,
+	// leaving projection and König re-completion only — the refinement
+	// ablation.
 	SkipRefine bool
 	// Rec, when non-nil, receives the V-cycle's stage spans: one coarsen
 	// span with per-round net counts, the coarsest solve's full IG-Match
@@ -267,7 +266,7 @@ func Partition(h *hypergraph.Hypergraph, opts Options) (Result, error) {
 		st.Refined = best
 		if !opts.SkipRefine {
 			trial := p.Clone()
-			met, passes, rerr := fm.RefinePartition(lh, trial, opts.Refine)
+			met, passes, rerr := fm.RefinePartition(lh, trial, fm.Options{})
 			if rerr != nil {
 				usp.End()
 				return Result{}, fmt.Errorf("multilevel: refining level %d: %w", k, rerr)

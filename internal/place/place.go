@@ -3,7 +3,9 @@
 // prototypical eigenvector formulation the partitioning work builds on),
 // and the "nets-as-points" placement of Pillage–Rohrer cited in Section
 // 2.2, which embeds the intersection graph and drops each module at the
-// centroid of its nets.
+// centroid of its nets. Every placement solves its Laplacian (the full
+// clique model, or the intersection graph) with the default eigensolver
+// options.
 package place
 
 import (
@@ -23,24 +25,17 @@ type Placement struct {
 	Y []float64
 }
 
-// Options tunes the underlying eigensolver.
-type Options struct {
-	Eigen eigen.Options
-	// Threshold sparsifies the clique model (0 = off).
-	Threshold int
-}
-
 // Hall1D computes Hall's one-dimensional quadratic placement of the
 // modules: the second eigenvector of Q = D − A minimizes
 // z = ½ Σ A_ij (x_i − x_j)² over unit-norm x orthogonal to the trivial
 // constant solution, and z equals λ₂ at the optimum. Returns the placement
 // and λ₂.
-func Hall1D(h *hypergraph.Hypergraph, opts Options) (Placement, float64, error) {
+func Hall1D(h *hypergraph.Hypergraph) (Placement, float64, error) {
 	if h.NumModules() < 2 {
 		return Placement{}, 0, errors.New("place: need at least 2 modules")
 	}
-	q := netmodel.ModuleLaplacian(h, opts.Threshold)
-	res, err := eigen.Fiedler(q, opts.Eigen)
+	q := netmodel.ModuleLaplacian(h, 0)
+	res, err := eigen.Fiedler(q, eigen.Options{})
 	if err != nil {
 		return Placement{}, 0, err
 	}
@@ -49,12 +44,12 @@ func Hall1D(h *hypergraph.Hypergraph, opts Options) (Placement, float64, error) 
 
 // Hall2D computes Hall's two-dimensional placement from eigenvectors 2 and
 // 3 of the module Laplacian. Returns the placement and (λ₂, λ₃).
-func Hall2D(h *hypergraph.Hypergraph, opts Options) (Placement, [2]float64, error) {
+func Hall2D(h *hypergraph.Hypergraph) (Placement, [2]float64, error) {
 	if h.NumModules() < 3 {
 		return Placement{}, [2]float64{}, errors.New("place: need at least 3 modules")
 	}
-	q := netmodel.ModuleLaplacian(h, opts.Threshold)
-	vals, vecs, err := eigen.SmallestK(q, 3, opts.Eigen)
+	q := netmodel.ModuleLaplacian(h, 0)
+	vals, vecs, err := eigen.SmallestK(q, 3, eigen.Options{})
 	if err != nil {
 		return Placement{}, [2]float64{}, err
 	}
@@ -66,12 +61,12 @@ func Hall2D(h *hypergraph.Hypergraph, opts Options) (Placement, [2]float64, erro
 // it — the Pillage–Rohrer construction. Modules on no net are placed at
 // the origin. It returns the net placement and the derived module
 // placement.
-func NetsAsPoints2D(h *hypergraph.Hypergraph, opts Options) (nets, modules Placement, err error) {
+func NetsAsPoints2D(h *hypergraph.Hypergraph) (nets, modules Placement, err error) {
 	if h.NumNets() < 3 {
 		return Placement{}, Placement{}, errors.New("place: need at least 3 nets")
 	}
 	q := netmodel.IGLaplacian(h, netmodel.IGOptions{})
-	_, vecs, err := eigen.SmallestK(q, 3, opts.Eigen)
+	_, vecs, err := eigen.SmallestK(q, 3, eigen.Options{})
 	if err != nil {
 		return Placement{}, Placement{}, err
 	}

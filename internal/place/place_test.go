@@ -21,7 +21,7 @@ func chain(n int) *hypergraph.Hypergraph {
 
 func TestHall1DPathOrder(t *testing.T) {
 	h := chain(30)
-	p, lam, err := Hall1D(h, Options{})
+	p, lam, err := Hall1D(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestHall1DPathOrder(t *testing.T) {
 func TestHall1DBeatsRandomPlacement(t *testing.T) {
 	h := chain(40)
 	g := netmodel.CliqueGraph(h, 0)
-	p, _, err := Hall1D(h, Options{})
+	p, _, err := Hall1D(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func grid(g int) *hypergraph.Hypergraph {
 func TestHall2DGrid(t *testing.T) {
 	g := 8
 	h := grid(g)
-	p, lams, err := Hall2D(h, Options{})
+	p, lams, err := Hall2D(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestHall2DGrid(t *testing.T) {
 
 func TestNetsAsPointsCentroid(t *testing.T) {
 	h := chain(20)
-	nets, modules, err := NetsAsPoints2D(h, Options{})
+	nets, modules, err := NetsAsPoints2D(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,13 +161,13 @@ func TestPlaceErrors(t *testing.T) {
 	small := hypergraph.NewBuilder()
 	small.AddNet(0)
 	h := small.Build()
-	if _, _, err := Hall1D(h, Options{}); err == nil {
+	if _, _, err := Hall1D(h); err == nil {
 		t.Error("Hall1D accepted 1 module")
 	}
-	if _, _, err := Hall2D(h, Options{}); err == nil {
+	if _, _, err := Hall2D(h); err == nil {
 		t.Error("Hall2D accepted 1 module")
 	}
-	if _, _, err := NetsAsPoints2D(h, Options{}); err == nil {
+	if _, _, err := NetsAsPoints2D(h); err == nil {
 		t.Error("NetsAsPoints2D accepted 1 net")
 	}
 }

@@ -20,9 +20,6 @@ const DefaultWarmThreshold = 0.25
 type WarmOptions struct {
 	// Threshold overrides DefaultWarmThreshold when positive.
 	Threshold float64
-	// Window overrides the sweep half-width around the carried-over
-	// best rank when positive; 0 derives it from the delta size.
-	Window int
 	// Core configures the underlying sweep (parallelism, recorder,
 	// context, eigen options for a cold fallback).
 	Core core.Options
@@ -90,10 +87,7 @@ func WarmStart(base *hypergraph.Hypergraph, baseOrder []int, baseBestRank int, d
 
 	order, rank := warmOrder(base, baseOrder, baseBestRank, h, netMap)
 	m := h.NumNets()
-	w := opts.Window
-	if w <= 0 {
-		w = warmWindow(m, touched)
-	}
+	w := warmWindow(m, touched)
 	co := opts.Core
 	co.SweepLo, co.SweepHi = rank-w, rank+w
 	if co.SweepLo < 1 {
