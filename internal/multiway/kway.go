@@ -26,9 +26,9 @@ import (
 // most PartCap(n, K, Eps) modules, every fixed module in its pinned part.
 func Partition(h *hypergraph.Hypergraph, opts Options) (Result, error) {
 	n := h.NumModules()
-	partCap, err := validateOptions(n, opts)
+	partCap, err := CheckContract(n, opts.K, opts.Eps, opts.Fixed)
 	if err != nil {
-		return Result{}, err
+		return Result{}, fmt.Errorf("multiway: %w", err)
 	}
 	if opts.Spectral {
 		return spectralK(h, opts, partCap)
@@ -43,49 +43,53 @@ func Partition(h *hypergraph.Hypergraph, opts Options) (Result, error) {
 	return res, nil
 }
 
-// validateOptions checks the (K, Eps, Fixed) request against the netlist
-// size and returns the per-part cap. The checks are exactly the
-// feasibility preconditions the recursion preserves: every part's pinned
-// modules fit under the cap, and there are enough free modules to make
-// every pin-less part non-empty.
-func validateOptions(n int, opts Options) (int, error) {
-	if opts.K < 2 {
-		return 0, fmt.Errorf("multiway: K=%d, need at least 2", opts.K)
+// CheckContract checks a balanced k-way request on n modules (k parts,
+// imbalance budget eps, and fixed, when non-nil, one part index or −1 per
+// module) and returns the per-part cap PartCap(n, k, eps). The checks are
+// exactly the feasibility preconditions the recursion preserves: k ≥ 2,
+// n ≥ k, eps ≥ 0, every part's pinned modules fit under the cap, and
+// there are enough free modules to make every pin-less part non-empty.
+// Its messages carry no prefix: Partition adds "multiway:", and the
+// service answers them as 400 bodies.
+func CheckContract(n, k int, eps float64, fixed []int) (int, error) {
+	if k < 2 {
+		return 0, fmt.Errorf("k=%d, need at least 2", k)
 	}
-	if n < opts.K {
-		return 0, fmt.Errorf("multiway: %d modules cannot form %d parts", n, opts.K)
+	if n < k {
+		return 0, fmt.Errorf("%d modules cannot form %d parts", n, k)
 	}
-	if math.IsNaN(opts.Eps) || opts.Eps < 0 {
-		return 0, fmt.Errorf("multiway: imbalance budget eps=%v, need >= 0", opts.Eps)
+	if math.IsNaN(eps) || eps < 0 {
+		return 0, fmt.Errorf("imbalance budget eps=%v, need >= 0", eps)
 	}
-	partCap := PartCap(n, opts.K, opts.Eps)
-	if opts.Fixed != nil {
-		if len(opts.Fixed) != n {
-			return 0, fmt.Errorf("multiway: Fixed has %d entries, want %d", len(opts.Fixed), n)
+	partCap := PartCap(n, k, eps)
+	if fixed == nil {
+		return partCap, nil
+	}
+	if len(fixed) != n {
+		return 0, fmt.Errorf("fixed has %d entries, want %d", len(fixed), n)
+	}
+	count := make([]int, k)
+	nFixed := 0
+	for v, p := range fixed {
+		if p < -1 || p >= k {
+			return 0, fmt.Errorf("fixed[%d]=%d outside [-1,%d)", v, p, k)
 		}
-		count := make([]int, opts.K)
-		nFixed := 0
-		for v, p := range opts.Fixed {
-			if p < -1 || p >= opts.K {
-				return 0, fmt.Errorf("multiway: Fixed[%d]=%d outside [-1,%d)", v, p, opts.K)
-			}
-			if p >= 0 {
-				count[p]++
-				nFixed++
-			}
+		if p >= 0 {
+			count[p]++
+			nFixed++
 		}
-		needy := 0
-		for p, c := range count {
-			if c > partCap {
-				return 0, fmt.Errorf("multiway: %d modules pinned to part %d exceed the %d-module cap", c, p, partCap)
-			}
-			if c == 0 {
-				needy++
-			}
+	}
+	needy := 0
+	for p, c := range count {
+		if c > partCap {
+			return 0, fmt.Errorf("%d modules pinned to part %d exceed the %d-module cap", c, p, partCap)
 		}
-		if n-nFixed < needy {
-			return 0, fmt.Errorf("multiway: only %d free modules for %d parts with no pinned module", n-nFixed, needy)
+		if c == 0 {
+			needy++
 		}
+	}
+	if n-nFixed < needy {
+		return 0, fmt.Errorf("only %d free modules for %d parts with no pinned module", n-nFixed, needy)
 	}
 	return partCap, nil
 }

@@ -144,17 +144,14 @@ func (r Request) Validate() error {
 		return badf("block size %d exceeds net count %d", o.BlockSize, r.Netlist.NumNets())
 	}
 	if kwayAlgo(o.Algo) {
-		if o.K < 2 {
-			return badf("k=%d, need at least 2", o.K)
-		}
 		if o.K > maxK {
 			return badf("k %d exceeds %d", o.K, maxK)
 		}
-		if o.K > r.Netlist.NumModules() {
-			return badf("%d modules cannot form %d parts", r.Netlist.NumModules(), o.K)
-		}
-		if math.IsNaN(o.Eps) || o.Eps < 0 {
-			return badf("imbalance budget eps=%v, need >= 0", o.Eps)
+		// The k-way contract is checked in two steps: k, n and ε before
+		// the pin list is resolved against k, the pins once it is.
+		n := r.Netlist.NumModules()
+		if _, err := multiway.CheckContract(n, o.K, o.Eps, nil); err != nil {
+			return badf("%v", err)
 		}
 		if len(o.Fix) > maxFixPins {
 			return badf("%d fix pins exceed %d", len(o.Fix), maxFixPins)
@@ -168,27 +165,8 @@ func (r Request) Validate() error {
 		// Reject infeasible pin loads up front (the engine would fail the
 		// job anyway, but a 400 beats a failed job): a part's pins must
 		// fit under the ε cap, and every pin-less part needs a free module.
-		n := r.Netlist.NumModules()
-		cap_ := multiway.PartCap(n, o.K, o.Eps)
-		count := make([]int, o.K)
-		nFixed := 0
-		for _, p := range fix.Part {
-			if p >= 0 {
-				count[p]++
-				nFixed++
-			}
-		}
-		needy := 0
-		for p, c := range count {
-			if c > cap_ {
-				return badf("%d modules pinned to part %d exceed the %d-module cap", c, p, cap_)
-			}
-			if c == 0 {
-				needy++
-			}
-		}
-		if n-nFixed < needy {
-			return badf("only %d free modules for %d parts with no pinned module", n-nFixed, needy)
+		if _, err := multiway.CheckContract(n, o.K, o.Eps, fix.Part); err != nil {
+			return badf("%v", err)
 		}
 	}
 	return nil
