@@ -78,6 +78,41 @@ func pinnedCircuit(t *testing.T, name string, scale float64) *hypergraph.Hypergr
 	return h
 }
 
+// pinnedRun is what both pin tests read of one circuit: its Fiedler
+// order, from Partition at P=1, and the traced full sweep over that order
+// at P=1 and at P=4 (index 0 and 1).
+type pinnedRun struct {
+	h      *hypergraph.Hypergraph
+	order  []int
+	full   [2]Result
+	traces [2][]SplitRecord
+}
+
+// pinnedRuns caches pinnedRun by circuit name. It is filled on first use,
+// so either test runs alone and the two together solve each circuit's
+// eigenproblem and full sweeps once.
+var pinnedRuns = map[string]*pinnedRun{}
+
+// pinnedSweep returns the pinnedRun of a pinned circuit.
+func pinnedSweep(t *testing.T, name string, scale float64) *pinnedRun {
+	t.Helper()
+	if r, ok := pinnedRuns[name]; ok {
+		return r
+	}
+	r := &pinnedRun{h: pinnedCircuit(t, name, scale)}
+	res, err := Partition(r.h, Options{Parallelism: 1, Trace: &r.traces[0]})
+	if err != nil {
+		t.Fatalf("%s P=1: %v", name, err)
+	}
+	r.order, r.full[0] = res.NetOrder, res
+	r.full[1], err = PartitionWithOrder(r.h, r.order, Options{Parallelism: 4, Trace: &r.traces[1]})
+	if err != nil {
+		t.Fatalf("%s P=4: %v", name, err)
+	}
+	pinnedRuns[name] = r
+	return r
+}
+
 // sweepPins holds the per-circuit sweep hashes: the nine paper circuits
 // at full size and scale10k at a quarter size, all at netgen's default
 // seeds. Any change to the sweep kernels — Phase I classification,
@@ -102,17 +137,13 @@ var sweepPins = []struct {
 }
 
 // TestSweepPins runs each pinned circuit through Partition with a trace
-// at P=1 and P=4 and requires both to hash to the pinned value.
+// at P=1, sweeps the same order again at P=4, and requires both to hash
+// to the pinned value.
 func TestSweepPins(t *testing.T) {
 	for _, pin := range sweepPins {
-		h := pinnedCircuit(t, pin.name, pin.scale)
-		for _, p := range []int{1, 4} {
-			var trace []SplitRecord
-			res, err := Partition(h, Options{Parallelism: p, Trace: &trace})
-			if err != nil {
-				t.Fatalf("%s P=%d: %v", pin.name, p, err)
-			}
-			if got := sweepHash(trace, res); got != pin.hash {
+		r := pinnedSweep(t, pin.name, pin.scale)
+		for i, p := range []int{1, 4} {
+			if got := sweepHash(r.traces[i], r.full[i]); got != pin.hash {
 				t.Errorf("%s P=%d: sweep hash %#x, pinned %#x", pin.name, p, got, pin.hash)
 			}
 		}
@@ -143,9 +174,10 @@ var candidatePins = []struct {
 }
 
 // candidateHash runs the candidatePins runs of h over order at
-// parallelism p and feeds each run's result (and the windowed run's
-// trace) to FNV-64a in that order.
-func candidateHash(t *testing.T, h *hypergraph.Hypergraph, order []int, p int) uint64 {
+// parallelism p, given the full sweep full over the same order, and feeds
+// each run's result (and the windowed run's trace) to FNV-64a in that
+// order.
+func candidateHash(t *testing.T, h *hypergraph.Hypergraph, order []int, full Result, p int) uint64 {
 	t.Helper()
 	ph := newPinHasher()
 	run := func(label string, res Result, err error) {
@@ -154,10 +186,6 @@ func candidateHash(t *testing.T, h *hypergraph.Hypergraph, order []int, p int) u
 			t.Fatalf("P=%d %s: %v", p, label, err)
 		}
 		ph.result(res)
-	}
-	full, err := PartitionWithOrder(h, order, Options{Parallelism: p})
-	if err != nil {
-		t.Fatalf("P=%d full sweep: %v", p, err)
 	}
 	for _, c := range []int{8, 32} {
 		res, err := PartitionCandidatesWithOrder(h, order, c, Options{Parallelism: p})
@@ -188,13 +216,9 @@ func candidateHash(t *testing.T, h *hypergraph.Hypergraph, order []int, p int) u
 // and P=4 and requires both to hash to the pinned value.
 func TestCandidatePins(t *testing.T) {
 	for _, pin := range candidatePins {
-		h := pinnedCircuit(t, pin.name, pin.scale)
-		order, _, err := fiedlerOrder(h, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range []int{1, 4} {
-			if got := candidateHash(t, h, order, p); got != pin.hash {
+		r := pinnedSweep(t, pin.name, pin.scale)
+		for i, p := range []int{1, 4} {
+			if got := candidateHash(t, r.h, r.order, r.full[i], p); got != pin.hash {
 				t.Errorf("%s P=%d: candidate hash %#x, pinned %#x", pin.name, p, got, pin.hash)
 			}
 		}
