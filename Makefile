@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench fuzz fuzz-smoke bench-sanity scale-report scale-smoke experiments cover serve smoke cluster-smoke ha-smoke eco-smoke chaos clean
+.PHONY: all build vet lint test race bench fuzz fuzz-smoke bench-sanity scale-report scale-smoke experiments examples cover serve smoke cluster-smoke ha-smoke eco-smoke chaos clean
 
 all: build vet lint test
 
@@ -115,12 +115,22 @@ fuzz:
 experiments:
 	$(GO) run igpart/cmd/experiments
 
-# COVER_PKGS must each stay at or above COVER_MIN% statement coverage:
-# the pipeline core, the multilevel engine, the balanced k-way engine,
-# the observability layer, the matching substrate, the portfolio racer
-# and its feature extractor, the partition-service job engine, the
-# cluster coordinator, and the job registry and lifecycle they share.
-COVER_PKGS = igpart/internal/core igpart/internal/multilevel igpart/internal/multiway igpart/internal/obs igpart/internal/bipartite igpart/internal/portfolio igpart/internal/features igpart/internal/service igpart/internal/cluster igpart/internal/jobreg
+# Build and run every program under examples/ and fail on the first
+# non-zero exit. examples/placement is the one program that runs
+# eigen.SmallestK end to end (Hall 2-D and nets-as-points).
+examples:
+	@for d in examples/*/; do \
+		echo "examples: $$d"; \
+		$(GO) run ./$$d > /dev/null || { echo "examples: $$d failed"; exit 1; }; \
+	done
+
+# The eleven COVER_PKGS must each stay at or above COVER_MIN% statement
+# coverage: the pipeline core, the eigensolvers, the multilevel engine,
+# the balanced k-way engine, the observability layer, the matching
+# substrate, the portfolio racer and its feature extractor, the
+# partition-service job engine, the cluster coordinator, and the job
+# registry and lifecycle they share.
+COVER_PKGS = igpart/internal/core igpart/internal/eigen igpart/internal/multilevel igpart/internal/multiway igpart/internal/obs igpart/internal/bipartite igpart/internal/portfolio igpart/internal/features igpart/internal/service igpart/internal/cluster igpart/internal/jobreg
 COVER_MIN  = 70
 
 # The suite runs once: the per-package figures are read from the
