@@ -9,6 +9,7 @@ import (
 
 	"igpart"
 	"igpart/internal/jobreg"
+	"igpart/internal/partition"
 )
 
 // solveBase submits h with opts and waits for the solve; the returned
@@ -199,6 +200,43 @@ func TestSubmitDeltaCacheHit(t *testing.T) {
 	}
 	if s1.Result.Metrics != s2.Result.Metrics {
 		t.Fatalf("cached metrics diverge: %+v vs %+v", s1.Result.Metrics, s2.Result.Metrics)
+	}
+}
+
+// TestSubmitDeltaAnswersItsOwnNetlist sends one index-based PATCH per
+// net against a netlist and against its net-reversed twin. The two
+// bases share a cold cache entry, yet a delta names nets by index, so
+// the two PATCHes remove different nets. Each answer must be a
+// partition of its own applied netlist: the metrics it reports are its
+// sides' metrics there.
+func TestSubmitDeltaAnswersItsOwnNetlist(t *testing.T) {
+	h := genNetlist(t, 150, 180, 21)
+	rev := igpart.NewBuilder().SetNumModules(h.NumModules())
+	for n := h.NumNets() - 1; n >= 0; n-- {
+		rev.AddNet(h.Pins(n)...)
+	}
+	e := New(Config{Workers: 2})
+	defer shutdownNow(t, e)
+
+	bases := []*Job{solveBase(t, e, h, Options{}), solveBase(t, e, rev.Build(), Options{})}
+	for net := 0; net < 40; net++ {
+		d := igpart.NetlistDelta{RemoveNets: []int{net}}
+		for i, base := range bases {
+			job, err := e.SubmitDelta(base.ID(), d, 0)
+			if err != nil {
+				t.Fatalf("base %d, remove net %d: %v", i, net, err)
+			}
+			s := job.Wait(context.Background())
+			if s.State != jobreg.StateDone {
+				t.Fatalf("base %d, remove net %d: state %s (err %v), want done", i, net, s.State, s.Err)
+			}
+			applied, _ := d.Apply(base.req.Netlist)
+			sides := append([]igpart.Side(nil), s.Result.Sides...)
+			if own := igpart.Evaluate(applied, partition.FromSides(sides)); s.Result.Metrics != own {
+				t.Errorf("base %d, remove net %d (cached %v): reported %+v, its sides give %+v on its own netlist",
+					i, net, s.Cached, s.Result.Metrics, own)
+			}
+		}
 	}
 }
 
