@@ -3,6 +3,7 @@ package hypergraph
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -88,5 +89,40 @@ func TestCanonicalBytesIgnoresNames(t *testing.T) {
 
 	if !bytes.Equal(plain.Build().CanonicalBytes(), named.Build().CanonicalBytes()) {
 		t.Fatal("names changed the canonical bytes; they never affect partitioning")
+	}
+}
+
+// TestNumberedBytes checks that NumberedBytes writes CanonicalBytes'
+// encoding in net index order: a netlist whose nets are already sorted
+// encodes the same fields either way, pin order never matters, and a
+// reordering of the nets changes the bytes.
+func TestNumberedBytes(t *testing.T) {
+	nets := [][]int{{0, 1, 2}, {0, 6}, {1, 4, 5, 6}, {2, 3}, {2, 3}, {5, 7, 8}}
+	sorted := NewBuilder().SetNumModules(9).SetWeight(4, 3)
+	shuffled := NewBuilder().SetNumModules(9).SetWeight(4, 3)
+	reversed := NewBuilder().SetNumModules(9).SetWeight(4, 3)
+	for i, pins := range nets {
+		sorted.AddNet(pins...)
+		backwards := slices.Clone(pins)
+		slices.Reverse(backwards)
+		shuffled.AddNet(backwards...)
+		reversed.AddNet(nets[len(nets)-1-i]...)
+	}
+	h := sorted.Build()
+	num, canon := h.NumberedBytes(), h.CanonicalBytes()
+	if !bytes.Equal(num[len(numberedMagic):], canon[len(canonicalMagic):]) {
+		t.Fatal("a sorted netlist's numbered and canonical fields differ")
+	}
+	if !bytes.Equal(shuffled.Build().NumberedBytes(), num) {
+		t.Fatal("pin order changed the numbered bytes")
+	}
+	if bytes.Equal(num, canon) {
+		t.Fatal("numbered and canonical bytes are equal; their magic must tell them apart")
+	}
+	if !bytes.Equal(reversed.Build().CanonicalBytes(), canon) {
+		t.Fatal("net reordering changed the canonical bytes")
+	}
+	if bytes.Equal(reversed.Build().NumberedBytes(), num) {
+		t.Fatal("net reordering left the numbered bytes unchanged")
 	}
 }

@@ -80,6 +80,9 @@ func TestSubmitDeltaWarmLifecycle(t *testing.T) {
 	if !r.Warm {
 		t.Fatalf("%d-net delta fell back cold (threshold should warm-start it)", d.TouchedNets())
 	}
+	if r.Stages.Name != "solve-delta" {
+		t.Fatalf("delta job's root span is %q, want solve-delta", r.Stages.Name)
+	}
 	if r.TouchedNets != d.TouchedNets() {
 		t.Fatalf("result TouchedNets = %d, want %d", r.TouchedNets, d.TouchedNets())
 	}
@@ -161,10 +164,12 @@ func TestSubmitDeltaCacheHit(t *testing.T) {
 	defer shutdownNow(t, e)
 
 	var warmSolves atomic.Int64
-	inner := e.solveDeltaFn
-	e.solveDeltaFn = func(ctx context.Context, ws *warmSpec, o Options) (*Result, error) {
-		warmSolves.Add(1)
-		return inner(ctx, ws, o)
+	inner := e.solveFn
+	e.solveFn = func(ctx context.Context, req Request) (*Result, error) {
+		if req.warm != nil {
+			warmSolves.Add(1)
+		}
+		return inner(ctx, req)
 	}
 
 	base := solveBase(t, e, h, Options{})

@@ -20,7 +20,7 @@ func TestCancelResolvesOnceUnderPruning(t *testing.T) {
 	h := genNetlist(t, 20, 24, 3)
 	e := New(Config{Workers: 4, QueueDepth: 512, CacheEntries: -1})
 	e.jobs = jobreg.New[*Job](2) // test-only hook: no job has been submitted yet
-	e.solveFn = func(context.Context, Request, Options) (*Result, error) {
+	e.solveFn = func(context.Context, Request) (*Result, error) {
 		return &Result{Algo: AlgoIGMatch, Sides: []igpart.Side{igpart.U, igpart.W}}, nil
 	}
 	defer shutdownNow(t, e)

@@ -80,6 +80,19 @@ type Options struct {
 type Request struct {
 	Netlist *igpart.Netlist
 	Options Options
+	// warm is set by SubmitDelta, and only there: it makes the request
+	// an ECO delta job, whose Netlist is the applied netlist and whose
+	// IG-Match solve warm-starts from warm.
+	warm *warmSpec
+}
+
+// warmSpec is what an ECO delta job warm-starts from: the base netlist,
+// the base result's net ordering and winning rank, and the delta.
+type warmSpec struct {
+	base  *igpart.Netlist
+	order []int
+	rank  int
+	delta igpart.NetlistDelta
 }
 
 // ErrBadRequest is the typed rejection for malformed requests: the
@@ -181,125 +194,125 @@ var schemes = map[string]igpart.WeightScheme{
 	"minsize": igpart.SchemeMinSize,
 }
 
-// normalize applies defaults and validates the options. Two option sets
-// that normalize equal always produce identical results.
+// normalize applies defaults and validates the options. It is the one
+// place that says which options an algorithm reads: the switch lists
+// each algorithm's read set, and every field outside it stays zero. So
+// two option sets that normalize equal always produce identical
+// results, and the cache key writes every field without a
+// per-algorithm branch. Every algorithm reads Seed, Parallelism and
+// Timeout.
 func (o Options) normalize() (Options, error) {
+	n := Options{Algo: o.Algo, Seed: o.Seed, Parallelism: o.Parallelism, Timeout: o.Timeout}
 	switch o.Algo {
 	case "", AlgoIGMatch:
-		o.Algo = AlgoIGMatch
-		o.Levels = 0
-		o.CoarseningRatio = 0
+		n.Algo = AlgoIGMatch
+		n.Scheme, n.Threshold, n.BlockSize = o.Scheme, o.Threshold, o.BlockSize
 	case AlgoMultilevel:
-		if o.Levels <= 0 {
-			o.Levels = 3
+		n.Scheme, n.Threshold, n.BlockSize = o.Scheme, o.Threshold, o.BlockSize
+		n.Levels, n.CoarseningRatio = o.Levels, o.CoarseningRatio
+		if n.Levels <= 0 {
+			n.Levels = 3
 		}
-		if o.CoarseningRatio <= 0 || o.CoarseningRatio > 1 {
-			o.CoarseningRatio = 0.9
+		if n.CoarseningRatio <= 0 || n.CoarseningRatio > 1 {
+			n.CoarseningRatio = 0.9
 		}
+	case AlgoKWay:
+		n.Scheme, n.Threshold, n.BlockSize = o.Scheme, o.Threshold, o.BlockSize
+		n.K, n.Eps, n.Fix = o.K, o.Eps, o.Fix
+	case AlgoKWaySpectral:
+		// The spectral engine solves on the module Laplacian, which reads
+		// neither scheme nor threshold.
+		n.BlockSize = o.BlockSize
+		n.K, n.Eps, n.Fix = o.K, o.Eps, o.Fix
 	case AlgoPortfolio:
-		o.Levels = 0
-		o.CoarseningRatio = 0
-	case AlgoKWay, AlgoKWaySpectral:
-		o.Levels = 0
-		o.CoarseningRatio = 0
-		// Canonicalize the pin list so equivalent requests share a cache
-		// key: sorted by (module, part), exact duplicates dropped.
-		// Validate already rejected conflicting duplicates.
-		if len(o.Fix) > 0 {
-			fix := append([]hypergraph.FixPin(nil), o.Fix...)
-			sort.Slice(fix, func(a, b int) bool {
-				if fix[a].Module != fix[b].Module {
-					return fix[a].Module < fix[b].Module
-				}
-				return fix[a].Part < fix[b].Part
-			})
-			dedup := fix[:1]
-			for _, p := range fix[1:] {
-				if p != dedup[len(dedup)-1] {
-					dedup = append(dedup, p)
-				}
-			}
-			o.Fix = dedup
-		}
+		// The race reads none of scheme, threshold and block size.
+		n.Budget, n.Accept = o.Budget, o.Accept
 	default:
 		return o, fmt.Errorf("service: unknown algorithm %q", o.Algo)
 	}
-	if !kwayAlgo(o.Algo) {
-		o.K = 0
-		o.Eps = 0
-		o.Fix = nil
-	}
-	if o.Algo != AlgoPortfolio {
-		o.Budget = 0
-		o.Accept = 0
-	}
+	// An unknown scheme fails on every algorithm, whether it reads the
+	// scheme or not.
 	if _, ok := schemes[o.Scheme]; !ok {
 		return o, fmt.Errorf("service: unknown weight scheme %q", o.Scheme)
 	}
-	if o.Scheme == "" {
-		o.Scheme = "paper"
+	if n.Scheme == "" {
+		n.Scheme = "paper"
 	}
-	if o.Threshold < 0 {
-		o.Threshold = 0
+	if n.Threshold < 0 {
+		n.Threshold = 0
 	}
-	if o.BlockSize < 0 {
-		o.BlockSize = 0
+	if n.BlockSize < 0 {
+		n.BlockSize = 0
 	}
-	// Reset what a solve never reads, so equivalent requests share a
-	// cache key: the portfolio race reads none of scheme, threshold and
-	// block size, and the spectral k-way engine solves on the module
-	// Laplacian, which reads neither scheme nor threshold. This runs
-	// after the scheme check, so an unknown scheme fails on every
-	// algorithm.
-	switch o.Algo {
-	case AlgoPortfolio:
-		o.Scheme, o.Threshold, o.BlockSize = "paper", 0, 0
-	case AlgoKWaySpectral:
-		o.Scheme, o.Threshold = "paper", 0
-	}
-	return o, nil
-}
-
-// cacheKey content-addresses a request: SHA-256 over the canonicalized
-// netlist plus the normalized result-determining options. Parallelism
-// and Timeout are deliberately excluded — neither changes the result.
-// o must already be normalized.
-func cacheKey(h *igpart.Netlist, o Options) string {
-	sum := sha256.New()
-	sum.Write(h.CanonicalBytes())
-	fmt.Fprintf(sum, "|algo=%s|scheme=%s|thr=%d|seed=%d|block=%d",
-		o.Algo, o.Scheme, o.Threshold, o.Seed, o.BlockSize)
-	if o.Algo == AlgoMultilevel {
-		fmt.Fprintf(sum, "|levels=%d|cratio=%g", o.Levels, o.CoarseningRatio)
-	}
-	if kwayAlgo(o.Algo) {
-		fmt.Fprintf(sum, "|k=%d|eps=%g", o.K, o.Eps)
-		for _, p := range o.Fix {
-			// %q-quoted names keep hostile module names from forging the
-			// delimiter structure.
-			fmt.Fprintf(sum, "|pin=%q:%d", p.Module, p.Part)
+	// Canonicalize the pin list so equivalent requests share a cache
+	// key: sorted by (module, part), exact duplicates dropped. Validate
+	// already rejected conflicting duplicates.
+	if len(n.Fix) > 0 {
+		fix := append([]hypergraph.FixPin(nil), n.Fix...)
+		sort.Slice(fix, func(a, b int) bool {
+			if fix[a].Module != fix[b].Module {
+				return fix[a].Module < fix[b].Module
+			}
+			return fix[a].Part < fix[b].Part
+		})
+		dedup := fix[:1]
+		for _, p := range fix[1:] {
+			if p != dedup[len(dedup)-1] {
+				dedup = append(dedup, p)
+			}
 		}
+		n.Fix = dedup
 	}
-	if o.Algo == AlgoPortfolio {
-		// Unlike Timeout, the race budget and acceptance bound change
-		// which contender wins, so they key the entry.
-		fmt.Fprintf(sum, "|budget=%d|accept=%g", o.Budget, o.Accept)
-	}
-	return fmt.Sprintf("%x", sum.Sum(nil))
+	return n, nil
 }
 
-// deltaCacheKey content-addresses an ECO delta job: the base netlist's
-// hash plus the delta's canonical encoding plus the options that shape
-// the warm-start solve. Keying on (base, delta) rather than the applied
-// netlist means a re-submitted identical ECO hits without re-applying,
-// and equivalent deltas (same edits, different list order) share an
-// entry via Canonical's sorted encoding.
+// key content-addresses the request for the result cache: an ECO delta
+// job by its base, delta and options, any other job by its netlist and
+// options.
+func (r Request) key() string {
+	if r.warm != nil {
+		return deltaCacheKey(r.warm.base, r.warm.delta, r.Options)
+	}
+	return cacheKey(r.Netlist, r.Options)
+}
+
+// cacheKey content-addresses a job by its canonicalized netlist and its
+// normalized options. o must already be normalized.
+func cacheKey(h *igpart.Netlist, o Options) string {
+	return contentKey(h.CanonicalBytes(), "", o)
+}
+
+// deltaCacheKey content-addresses an ECO delta job by the base netlist
+// as numbered, the delta's canonical encoding and the normalized
+// options. The base enters with its own net numbering because the delta
+// names nets by index: one delta against two orderings of the same nets
+// removes different nets. Keying on (base, delta) rather than the
+// applied netlist means a re-submitted identical ECO hits without
+// re-applying, and equivalent deltas (same edits, different list order)
+// share an entry via Canonical's sorted encoding.
 func deltaCacheKey(base *igpart.Netlist, d igpart.NetlistDelta, o Options) string {
+	return contentKey(base.NumberedBytes(), d.Canonical(), o)
+}
+
+// contentKey is the one key encoder: SHA-256 over a netlist encoding, a
+// delta's canonical encoding ("" for a cold job) and every field of the
+// normalized options but Parallelism and Timeout, which never change a
+// result. normalize zeroes what an algorithm does not read, so no field
+// needs a per-algorithm branch here.
+func contentKey(netlist []byte, delta string, o Options) string {
 	sum := sha256.New()
-	sum.Write(base.CanonicalBytes())
-	sum.Write([]byte("|"))
-	sum.Write([]byte(d.Canonical()))
-	fmt.Fprintf(sum, "|scheme=%s|thr=%d|seed=%d|block=%d",
-		o.Scheme, o.Threshold, o.Seed, o.BlockSize)
+	sum.Write(netlist)
+	fmt.Fprintf(sum, "|delta=%q|algo=%s|scheme=%s|thr=%d|seed=%d|block=%d",
+		delta, o.Algo, o.Scheme, o.Threshold, o.Seed, o.BlockSize)
+	fmt.Fprintf(sum, "|levels=%d|cratio=%g", o.Levels, o.CoarseningRatio)
+	fmt.Fprintf(sum, "|k=%d|eps=%g", o.K, o.Eps)
+	// Unlike Timeout, the race budget and acceptance bound change which
+	// contender wins, so they key the entry.
+	fmt.Fprintf(sum, "|budget=%d|accept=%g", o.Budget, o.Accept)
+	for _, p := range o.Fix {
+		// %q-quoted names keep hostile module names from forging the
+		// delimiter structure.
+		fmt.Fprintf(sum, "|pin=%q:%d", p.Module, p.Part)
+	}
 	return fmt.Sprintf("%x", sum.Sum(nil))
 }

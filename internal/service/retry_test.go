@@ -44,12 +44,12 @@ func failNTimesEngine(cfg Config, n int) (*Engine, *fakeClock) {
 	clk := &fakeClock{}
 	e.clock = clk
 	attempts := 0
-	e.solveFn = func(ctx context.Context, req Request, o Options) (*Result, error) {
+	e.solveFn = func(ctx context.Context, req Request) (*Result, error) {
 		attempts++
 		if attempts <= n {
 			return nil, errors.New("transient solver failure")
 		}
-		return &Result{Algo: o.Algo, Sides: []igpart.Side{igpart.U, igpart.W}}, nil
+		return &Result{Algo: req.Options.Algo, Sides: []igpart.Side{igpart.U, igpart.W}}, nil
 	}
 	return e, clk
 }

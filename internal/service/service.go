@@ -177,28 +177,10 @@ type Snapshot struct {
 	Result *Result
 }
 
-// warmSpec carries what an ECO delta job needs beyond its Request: the
-// base netlist, the cached sweep state to warm-start from, and the
-// delta itself. The job's Request.Netlist holds the applied (delta'd)
-// netlist so the job can in turn base further deltas.
-type warmSpec struct {
-	baseID string
-	base   *igpart.Netlist
-	order  []int
-	rank   int
-	delta  igpart.NetlistDelta
-}
-
 // Job is a submitted partitioning request tracked by the engine.
 type Job struct {
 	*jobreg.Lifecycle
 	req Request
-	// key is the precomputed cache key for jobs whose key is not
-	// cacheKey(req.Netlist, req.Options) — delta jobs key on
-	// (base hash, canonical delta) instead. Empty means compute.
-	key string
-	// warm is non-nil exactly for ECO delta jobs.
-	warm *warmSpec
 
 	// The outcome, set by Finish under the lifecycle's lock.
 	cached bool
@@ -235,12 +217,9 @@ type Engine struct {
 	queue chan *Job
 	wg    sync.WaitGroup
 
-	// solveFn computes a request's result; tests substitute a stub to
-	// exercise lifecycle paths deterministically.
-	solveFn func(ctx context.Context, req Request, o Options) (*Result, error)
-	// solveDeltaFn computes an ECO delta job's result by warm start;
-	// same test seam as solveFn.
-	solveDeltaFn func(ctx context.Context, ws *warmSpec, o Options) (*Result, error)
+	// solveFn computes a request's result, cold or ECO delta; tests
+	// substitute a stub to exercise lifecycle paths deterministically.
+	solveFn func(ctx context.Context, req Request) (*Result, error)
 	// clock paces retry backoff; tests substitute a fake.
 	clock clock
 
@@ -264,11 +243,8 @@ func New(cfg Config) *Engine {
 	}
 	// The solve closure binds the engine's injector so the pipeline's
 	// own points (eigen.noconverge, sweep.slow-shard) share one stream.
-	e.solveFn = func(ctx context.Context, req Request, o Options) (*Result, error) {
-		return solve(ctx, req, o, cfg.Fault, e.reg)
-	}
-	e.solveDeltaFn = func(ctx context.Context, ws *warmSpec, o Options) (*Result, error) {
-		return solveDelta(ctx, ws, o, cfg.Fault, e.reg)
+	e.solveFn = func(ctx context.Context, req Request) (*Result, error) {
+		return solve(ctx, req, cfg.Fault, e.reg)
 	}
 	e.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -295,18 +271,19 @@ func (e *Engine) Submit(req Request) (*Job, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	req.Options = norm
-	return e.enqueue(req, "", nil)
+	return e.enqueue(req)
 }
 
 // SubmitDelta enqueues an incremental ECO re-partitioning of a finished
 // job: delta d is applied to the base job's netlist and solved by
 // warm-starting from the base result's cached net ordering (sweep +
 // completion only — no eigensolve), falling back to a cold solve past
-// the perturbation threshold. The delta job is a first-class job: same
-// queue, lifecycle, retry, and cache machinery, with its own cache
-// entry keyed on (base netlist hash, canonical delta, options) so
-// equivalent re-submissions hit. Its result carries the new net
-// ordering, so further deltas may chain off it.
+// the perturbation threshold. The delta job is a first-class job: an
+// IG-Match request under the base's options, on the same queue,
+// lifecycle, retry, solve and cache path as any other, with its own
+// cache entry keyed on (base netlist as numbered, canonical delta,
+// options) so equivalent re-submissions hit. Its result carries the new
+// net ordering, so further deltas may chain off it.
 func (e *Engine) SubmitDelta(baseID string, d igpart.NetlistDelta, timeout time.Duration) (*Job, error) {
 	if timeout < 0 {
 		return nil, badf("negative timeout %v", timeout)
@@ -329,26 +306,21 @@ func (e *Engine) SubmitDelta(baseID string, d igpart.NetlistDelta, timeout time.
 		return nil, badf("invalid delta: %v", err)
 	}
 	o := base.req.Options
-	o.Algo = AlgoIGMatch
-	o.Levels, o.CoarseningRatio = 0, 0
-	o.K, o.Eps, o.Fix = 0, 0, nil
-	o.Budget, o.Accept = 0, 0
-	o.Timeout = timeout
+	o.Algo, o.Timeout = AlgoIGMatch, timeout
+	// The base's options normalized once already, so their scheme is known.
+	o, _ = o.normalize()
 	applied, _ := d.Apply(bh)
-	return e.enqueue(Request{Netlist: applied, Options: o}, deltaCacheKey(bh, d, o), &warmSpec{
-		baseID: baseID,
-		base:   bh,
-		order:  res.NetOrder,
-		rank:   res.BestRank,
-		delta:  d,
-	})
+	return e.enqueue(Request{Netlist: applied, Options: o, warm: &warmSpec{
+		base:  bh,
+		order: res.NetOrder,
+		rank:  res.BestRank,
+		delta: d,
+	}})
 }
 
 // enqueue builds the job for an already-validated, normalized request
-// and offers it to the queue. key overrides the content-address for
-// jobs not keyed on their own netlist (delta jobs); ws marks the job
-// as an ECO warm start.
-func (e *Engine) enqueue(req Request, key string, ws *warmSpec) (*Job, error) {
+// and offers it to the queue.
+func (e *Engine) enqueue(req Request) (*Job, error) {
 	timeout := req.Options.Timeout
 	if timeout <= 0 {
 		timeout = e.cfg.DefaultTimeout
@@ -374,8 +346,6 @@ func (e *Engine) enqueue(req Request, key string, ws *warmSpec) (*Job, error) {
 	job := &Job{
 		Lifecycle: jobreg.NewLifecycle(context.Background(), id, timeout),
 		req:       req,
-		key:       key,
-		warm:      ws,
 	}
 	// Register before sending, so a worker cannot finish the job before
 	// it is queryable. The send cannot block: every send happens under
@@ -456,10 +426,7 @@ func (e *Engine) run(job *Job) {
 		e.finalizeAborted(job)
 		return
 	}
-	key := job.key
-	if key == "" {
-		key = cacheKey(job.req.Netlist, job.req.Options)
-	}
+	key := job.req.key()
 	if res, ok := e.cache.get(key); ok {
 		e.settle(job, jobreg.StateDone, res, true, nil)
 		return
@@ -511,11 +478,7 @@ func (e *Engine) safeSolve(job *Job) (res *Result, err error) {
 	if e.cfg.Fault.Active(fault.WorkerPanic) {
 		panic("injected fault: " + string(fault.WorkerPanic))
 	}
-	if job.warm != nil {
-		res, err = e.solveDeltaFn(job.Context(), job.warm, job.req.Options)
-	} else {
-		res, err = e.solveFn(job.Context(), job.req, job.req.Options)
-	}
+	res, err = e.solveFn(job.Context(), job.req)
 	e.mu.Lock()
 	e.panicStreak = 0
 	e.mu.Unlock()
@@ -589,12 +552,18 @@ func foldMetrics(dst *obs.Registry, tr *igpart.Trace) {
 }
 
 // solve runs the real pipeline for a normalized request, recording the
-// stage-span tree into the result. inj forwards the engine's fault
-// injector into the pipeline; nil means injection off; reg receives
-// the solve's pipeline counters (see foldMetrics).
-func solve(ctx context.Context, req Request, o Options, inj *fault.Injector, reg *obs.Registry) (*Result, error) {
-	tr := igpart.NewTrace("solve")
+// stage-span tree into the result under a root span named "solve-delta"
+// for an ECO delta job and "solve" for any other. inj forwards the
+// engine's fault injector into the pipeline; nil means injection off;
+// reg receives the solve's pipeline counters (see foldMetrics).
+func solve(ctx context.Context, req Request, inj *fault.Injector, reg *obs.Registry) (*Result, error) {
+	root := "solve"
+	if req.warm != nil {
+		root = "solve-delta"
+	}
+	tr := igpart.NewTrace(root)
 	defer foldMetrics(reg, tr)
+	o := req.Options
 	scheme := schemes[o.Scheme]
 	switch o.Algo {
 	case AlgoPortfolio:
@@ -678,7 +647,7 @@ func solve(ctx context.Context, req Request, o Options, inj *fault.Injector, reg
 			Stages:       tr.Finish(),
 		}, nil
 	default: // AlgoIGMatch; Submit normalized and validated Algo already
-		r, err := igpart.IGMatch(req.Netlist, igpart.IGMatchOptions{
+		io := igpart.IGMatchOptions{
 			Scheme:      scheme,
 			Threshold:   o.Threshold,
 			Seed:        o.Seed,
@@ -687,7 +656,26 @@ func solve(ctx context.Context, req Request, o Options, inj *fault.Injector, reg
 			Rec:         tr,
 			Ctx:         ctx,
 			Fault:       inj,
-		})
+		}
+		if w := req.warm; w != nil {
+			// Warm-start from the base's sweep state, or the cold fallback
+			// past the perturbation threshold.
+			r, err := igpart.WarmStart(w.base, igpart.IGMatchResult{NetOrder: w.order, BestRank: w.rank}, w.delta, io)
+			if err != nil {
+				return nil, err
+			}
+			return &Result{
+				Algo:        o.Algo,
+				Metrics:     r.Metrics,
+				Sides:       append([]igpart.Side(nil), r.Partition.Sides()...),
+				BestRank:    r.BestRank,
+				NetOrder:    r.NetOrder,
+				Warm:        !r.Cold,
+				TouchedNets: r.TouchedNets,
+				Stages:      tr.Finish(),
+			}, nil
+		}
+		r, err := igpart.IGMatch(req.Netlist, io)
 		if err != nil {
 			return nil, err
 		}
@@ -701,38 +689,4 @@ func solve(ctx context.Context, req Request, o Options, inj *fault.Injector, reg
 			Stages:   tr.Finish(),
 		}, nil
 	}
-}
-
-// solveDelta runs an ECO delta job: warm-start from the base job's
-// cached sweep state (or the cold fallback past the perturbation
-// threshold), on the same recorder/fault plumbing as solve.
-func solveDelta(ctx context.Context, ws *warmSpec, o Options, inj *fault.Injector, reg *obs.Registry) (*Result, error) {
-	tr := igpart.NewTrace("solve-delta")
-	defer foldMetrics(reg, tr)
-	r, err := igpart.WarmStart(ws.base,
-		igpart.IGMatchResult{NetOrder: ws.order, BestRank: ws.rank},
-		ws.delta,
-		igpart.IGMatchOptions{
-			Scheme:      schemes[o.Scheme],
-			Threshold:   o.Threshold,
-			Seed:        o.Seed,
-			BlockSize:   o.BlockSize,
-			Parallelism: o.Parallelism,
-			Rec:         tr,
-			Ctx:         ctx,
-			Fault:       inj,
-		})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Algo:        AlgoIGMatch,
-		Metrics:     r.Metrics,
-		Sides:       append([]igpart.Side(nil), r.Partition.Sides()...),
-		BestRank:    r.BestRank,
-		NetOrder:    r.NetOrder,
-		Warm:        !r.Cold,
-		TouchedNets: r.TouchedNets,
-		Stages:      tr.Finish(),
-	}, nil
 }

@@ -71,6 +71,9 @@ func TestSolveMatchesDirectCall(t *testing.T) {
 	if len(s.Result.Sides) != h.NumModules() {
 		t.Fatalf("sides has %d entries, want %d", len(s.Result.Sides), h.NumModules())
 	}
+	if s.Result.Stages.Name != "solve" {
+		t.Fatalf("root span is %q, want solve", s.Result.Stages.Name)
+	}
 	if s.Result.Stages.Find("sweep") == nil {
 		t.Fatal("result carries no sweep stage span")
 	}
@@ -100,9 +103,9 @@ func TestCacheHitOnIdenticalResubmit(t *testing.T) {
 
 	var solves atomic.Int64
 	real := e.solveFn
-	e.solveFn = func(ctx context.Context, req Request, o Options) (*Result, error) {
+	e.solveFn = func(ctx context.Context, req Request) (*Result, error) {
 		solves.Add(1)
-		return real(ctx, req, o)
+		return real(ctx, req)
 	}
 
 	first := func() Snapshot {
@@ -166,10 +169,10 @@ func TestCacheHitOnIdenticalResubmit(t *testing.T) {
 func blockingEngine(cfg Config) (*Engine, chan struct{}) {
 	e := New(cfg)
 	release := make(chan struct{})
-	e.solveFn = func(ctx context.Context, req Request, o Options) (*Result, error) {
+	e.solveFn = func(ctx context.Context, req Request) (*Result, error) {
 		select {
 		case <-release:
-			return &Result{Algo: o.Algo, Sides: []igpart.Side{igpart.U, igpart.W}}, nil
+			return &Result{Algo: req.Options.Algo, Sides: []igpart.Side{igpart.U, igpart.W}}, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
