@@ -26,6 +26,7 @@ type fakeBackend struct {
 	rejectWith  int      // non-zero: POST /v1/jobs answers this status
 	submissions []int64  // request seeds in arrival order
 	cancelled   []string // backend job IDs DELETEd
+	lostGets    int      // GET /v1/jobs/{id} answered 404
 	srv         *httptest.Server
 }
 
@@ -83,6 +84,7 @@ func (f *fakeBackend) handleGet(w http.ResponseWriter, r *http.Request) {
 	defer f.mu.Unlock()
 	j, ok := f.jobs[r.PathValue("id")]
 	if !ok {
+		f.lostGets++
 		w.WriteHeader(http.StatusNotFound)
 		fmt.Fprint(w, `{"error":"unknown job"}`)
 		return
@@ -116,6 +118,14 @@ func (f *fakeBackend) release(seed int64) {
 			j.result = json.RawMessage(fmt.Sprintf(`{"algo":"igmatch","ratio_cut":2.5,"seed":%d}`, j.seed))
 		}
 	}
+}
+
+// forget drops every job, as a backend that restarted and lost its
+// registry would, while the node itself stays up.
+func (f *fakeBackend) forget() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	clear(f.jobs)
 }
 
 func (f *fakeBackend) setHold(hold bool) {
@@ -266,6 +276,44 @@ func TestCoordinatorFailoverMidRun(t *testing.T) {
 	}
 	if len(other.seeds()) != 1 {
 		t.Errorf("survivor got %d submissions, want 1", len(other.seeds()))
+	}
+}
+
+// The owner is alive but loses the job it holds (a restart wiped its
+// registry): the first poll answers 404, which asking again cannot
+// heal, so the job fails over at once and completes on the ring
+// successor.
+func TestCoordinatorFailoverOnLostJob(t *testing.T) {
+	c, b0, b1 := testCluster(t, Config{})
+	key := "lost-job-key"
+	owner, other := byName(c, b0, b1, c.Ring().Owner(key))
+	owner.setHold(true)
+
+	j := mustSubmit(t, c, key, 10)
+	deadline := time.Now().Add(5 * time.Second)
+	for j.Snapshot().BackendJob == "" {
+		if time.Now().After(deadline) {
+			t.Fatal("job never reached the owner")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	owner.forget()
+
+	snap := waitDone(t, j)
+	if snap.State != jobreg.StateDone {
+		t.Fatalf("state %s, err %q", snap.State, snap.Err)
+	}
+	if want := c.Ring().Route(key)[1]; snap.Backend != want || snap.Resubmits != 1 {
+		t.Errorf("ran on %s after %d resubmits, want %s after 1", snap.Backend, snap.Resubmits, want)
+	}
+	if len(other.seeds()) != 1 {
+		t.Errorf("survivor got %d submissions, want 1", len(other.seeds()))
+	}
+	owner.mu.Lock()
+	lost := owner.lostGets
+	owner.mu.Unlock()
+	if lost != 1 {
+		t.Errorf("owner answered %d polls with 404 before failover, want 1", lost)
 	}
 }
 
