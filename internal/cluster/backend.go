@@ -118,7 +118,6 @@ type client struct {
 
 	mu      sync.Mutex
 	healthy bool
-	lastErr error
 }
 
 func newClient(b Backend) *client {
@@ -132,9 +131,9 @@ func (c *client) Healthy() bool {
 	return c.healthy
 }
 
-func (c *client) setHealth(ok bool, err error) {
+func (c *client) setHealth(ok bool) {
 	c.mu.Lock()
-	c.healthy, c.lastErr = ok, err
+	c.healthy = ok
 	c.mu.Unlock()
 }
 
@@ -158,23 +157,20 @@ func (c *client) do(ctx context.Context, method, path string, body []byte) (int,
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		ne := &nodeError{backend: c.b.Name, err: err}
-		c.setHealth(false, ne)
-		return 0, nil, ne
+		c.setHealth(false)
+		return 0, nil, &nodeError{backend: c.b.Name, err: err}
 	}
 	defer resp.Body.Close()
 	out, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		ne := &nodeError{backend: c.b.Name, err: err}
-		c.setHealth(false, ne)
-		return 0, nil, ne
+		c.setHealth(false)
+		return 0, nil, &nodeError{backend: c.b.Name, err: err}
 	}
 	if resp.StatusCode >= 500 {
-		ne := &nodeError{backend: c.b.Name, err: fmt.Errorf("%s %s -> %d: %s", method, path, resp.StatusCode, strings.TrimSpace(string(out)))}
-		c.setHealth(false, ne)
-		return resp.StatusCode, out, ne
+		c.setHealth(false)
+		return resp.StatusCode, out, &nodeError{backend: c.b.Name, err: fmt.Errorf("%s %s -> %d: %s", method, path, resp.StatusCode, strings.TrimSpace(string(out)))}
 	}
-	c.setHealth(true, nil)
+	c.setHealth(true)
 	return resp.StatusCode, out, nil
 }
 
@@ -265,7 +261,7 @@ func (c *client) probe(ctx context.Context) bool {
 	if err == nil {
 		// do() flipped healthy on any non-5xx response; readiness is
 		// stricter — only a 200 should attract new work.
-		c.setHealth(ok, nil)
+		c.setHealth(ok)
 	}
 	return ok
 }

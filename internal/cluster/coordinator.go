@@ -683,36 +683,21 @@ func (c *Coordinator) run(j *Job) {
 		fmt.Errorf("cluster: no backend completed the job after %d attempts: %w", budget, lastErr))
 }
 
-// pollErrLimit is how many consecutive poll failures declare the
-// backend dead. One transient blip should not trigger a resubmission;
-// three in a row (with the poll interval between them) is a node that
-// stopped answering.
-const pollErrLimit = 3
-
 // pollUntilTerminal polls the backend until the job is terminal there.
-// It returns a node-level error when the backend stops answering.
+// Any failed poll returns at once. A transport error or a 5xx already
+// marked the node down, and a 404 (the backend lost the job), an
+// unparseable body or an unexpected status does not heal by asking
+// again, so the caller fails over.
 func (c *Coordinator) pollUntilTerminal(j *Job, cl *client, bid string) (*backendJob, error) {
 	ctx := j.Context()
-	consecutive := 0
 	for {
 		if err := sleepCtx(ctx, c.cfg.PollInterval); err != nil {
 			return nil, err
 		}
 		bj, err := cl.poll(ctx, bid)
 		if err != nil {
-			if ctx.Err() != nil {
-				return nil, err
-			}
-			consecutive++
-			// A node error that also flipped the client unhealthy (e.g.
-			// connection refused) fails over at once; anything softer gets
-			// pollErrLimit chances to be a blip.
-			if consecutive >= pollErrLimit || (isNodeError(err) && !cl.Healthy()) {
-				return nil, err
-			}
-			continue
+			return nil, err
 		}
-		consecutive = 0
 		if bj.State.Terminal() {
 			return bj, nil
 		}
