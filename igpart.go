@@ -307,8 +307,6 @@ type MultilevelOptions struct {
 	// MatvecParallelism bounds the coarsest-level eigensolver's matvec
 	// workers (see IGMatchOptions.MatvecParallelism).
 	MatvecParallelism int
-	// SkipRefine disables the per-level FM polish (projection ablation).
-	SkipRefine bool
 	// Rec, when non-nil, records the V-cycle stage spans (coarsening
 	// rounds, coarsest-solve pipeline breakdown, per-level uncoarsening).
 	Rec Recorder
@@ -359,8 +357,7 @@ func MultilevelIGMatch(h *Netlist, opts ...MultilevelOptions) (MultilevelResult,
 			Ctx:         o.Ctx,
 			Fault:       o.Fault,
 		},
-		SkipRefine: o.SkipRefine,
-		Rec:        o.Rec,
+		Rec: o.Rec,
 	})
 	if err != nil {
 		return MultilevelResult{}, err
@@ -384,9 +381,6 @@ type PortfolioOptions struct {
 	// the rest are cancelled. Note this makes the winner depend on
 	// contender timing; leave it 0 for a deterministic best-of-lineup.
 	Accept float64
-	// Lineup overrides the feature-driven lineup with explicit
-	// contender names (PortfolioAlg* constants).
-	Lineup []string
 	// Parallelism bounds each contender's sweep shards.
 	Parallelism int
 	// Seed seeds the contenders' eigensolvers.
@@ -429,7 +423,6 @@ func Portfolio(h *Netlist, opts ...PortfolioOptions) (PortfolioResult, error) {
 	return portfolio.Race(h, portfolio.Options{
 		Budget:      o.Budget,
 		Accept:      o.Accept,
-		Lineup:      o.Lineup,
 		Parallelism: o.Parallelism,
 		Seed:        o.Seed,
 		Rec:         o.Rec,

@@ -71,10 +71,6 @@ type Options struct {
 	// every coarsening round and uncoarsening level for cooperative
 	// cancellation.
 	Core core.Options
-	// SkipRefine disables the per-level FM polish, run at FM's defaults,
-	// leaving projection and König re-completion only — the refinement
-	// ablation.
-	SkipRefine bool
 	// Rec, when non-nil, receives the V-cycle's stage spans: one coarsen
 	// span with per-round net counts, the coarsest solve's full IG-Match
 	// breakdown, and one uncoarsen span per projection level with the
@@ -264,18 +260,16 @@ func Partition(h *hypergraph.Hypergraph, opts Options) (Result, error) {
 		// selection should never worsen the ratio cut; stay defensive and
 		// roll back if it somehow did, keeping the level monotone.
 		st.Refined = best
-		if !opts.SkipRefine {
-			trial := p.Clone()
-			met, passes, rerr := fm.RefinePartition(lh, trial, fm.Options{})
-			if rerr != nil {
-				usp.End()
-				return Result{}, fmt.Errorf("multilevel: refining level %d: %w", k, rerr)
-			}
-			st.Passes = passes
-			if ratioBetter(met, best) {
-				p = trial
-				st.Refined = met
-			}
+		trial := p.Clone()
+		met, passes, rerr := fm.RefinePartition(lh, trial, fm.Options{})
+		if rerr != nil {
+			usp.End()
+			return Result{}, fmt.Errorf("multilevel: refining level %d: %w", k, rerr)
+		}
+		st.Passes = passes
+		if ratioBetter(met, best) {
+			p = trial
+			st.Refined = met
 		}
 		usp.Count("refined-cut", int64(st.Refined.CutNets))
 		usp.Count("fm-passes", int64(st.Passes))

@@ -37,13 +37,21 @@ type SizeBucket struct {
 }
 
 // Primary2SizeDist is the net-size histogram of the MCNC Primary2 netlist
-// as published in Table 1 of the paper (3029 nets total).
+// as published in Table 1 of the paper (3029 nets total). Every
+// generated circuit draws its net sizes from it.
 var Primary2SizeDist = []SizeBucket{
 	{2, 1835}, {3, 365}, {4, 203}, {5, 192}, {6, 120}, {7, 52}, {8, 14},
 	{9, 83}, {10, 14}, {11, 35}, {12, 5}, {13, 3}, {14, 10}, {15, 3},
 	{16, 1}, {17, 72}, {18, 1}, {23, 1}, {26, 1}, {29, 1}, {30, 1},
 	{31, 1}, {33, 14}, {34, 1}, {37, 1},
 }
+
+// The cluster tree splits every span into treeBranch parts until a
+// span holds treeLeaf modules or fewer.
+const (
+	treeBranch = 2
+	treeLeaf   = 12
+)
 
 // Config parameterizes one synthetic circuit.
 type Config struct {
@@ -59,13 +67,6 @@ type Config struct {
 	// cluster tree when anchoring a net; higher values mean more local nets
 	// and a cheaper natural cut. Default 0.93.
 	Locality float64
-	// Branch is the cluster-tree fanout. Default 2.
-	Branch int
-	// LeafSize stops the recursive decomposition. Default 12.
-	LeafSize int
-	// SizeDist is the net-size histogram to sample from.
-	// Default Primary2SizeDist.
-	SizeDist []SizeBucket
 	// HubProb is the per-net probability of picking up a high-fanout hub
 	// module (the global or regional clock/control driver of the net's
 	// region). Hub modules accumulate degrees in the hundreds — the
@@ -78,15 +79,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Locality == 0 {
 		c.Locality = 0.93
-	}
-	if c.Branch < 2 {
-		c.Branch = 2
-	}
-	if c.LeafSize < 2 {
-		c.LeafSize = 12
-	}
-	if c.SizeDist == nil {
-		c.SizeDist = Primary2SizeDist
 	}
 	return c
 }
@@ -136,7 +128,7 @@ func Generate(cfg Config) (*hypergraph.Hypergraph, error) {
 		return nil, fmt.Errorf("netgen: %q needs at least 1 net", cfg.Name)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	tree := buildTree(cfg.Modules, cfg.Branch, cfg.LeafSize)
+	tree := buildTree(cfg.Modules, treeBranch, treeLeaf)
 	parent := make([]int, len(tree))
 	depth := make([]int, len(tree))
 	for p, s := range tree {
@@ -157,18 +149,18 @@ func Generate(cfg Config) (*hypergraph.Hypergraph, error) {
 
 	// Cumulative size distribution for sampling.
 	totalW := 0
-	for _, b := range cfg.SizeDist {
+	for _, b := range Primary2SizeDist {
 		totalW += b.Count
 	}
 	sampleSize := func() int {
 		r := rng.Intn(totalW)
-		for _, b := range cfg.SizeDist {
+		for _, b := range Primary2SizeDist {
 			r -= b.Count
 			if r < 0 {
 				return b.Size
 			}
 		}
-		return cfg.SizeDist[len(cfg.SizeDist)-1].Size
+		return Primary2SizeDist[len(Primary2SizeDist)-1].Size
 	}
 
 	bld := hypergraph.NewBuilder()

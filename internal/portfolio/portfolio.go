@@ -55,9 +55,6 @@ type Options struct {
 	// the rest are cancelled. 0 disables early acceptance, making the
 	// outcome independent of contender timing (best result wins).
 	Accept float64
-	// Lineup overrides the feature-driven lineup selection with an
-	// explicit list of contender names.
-	Lineup []string
 	// Parallelism is passed through to each contender's sweep.
 	Parallelism int
 	// Seed seeds the contenders' eigensolvers.
@@ -185,14 +182,11 @@ func (o Options) engine(alg string) (runFunc, error) {
 }
 
 // Race runs the portfolio on h: lineup selection from the feature
-// vector (unless overridden), then all contenders concurrently under
-// one budgeted context. See Options for the win conditions.
+// vector, then all contenders concurrently under one budgeted context.
+// See Options for the win conditions.
 func Race(h *hypergraph.Hypergraph, opts Options) (Result, error) {
 	v := features.Extract(h)
-	lineup := opts.Lineup
-	if len(lineup) == 0 {
-		lineup = Lineup(v)
-	}
+	lineup := Lineup(v)
 	runs := make([]runFunc, len(lineup))
 	for i, alg := range lineup {
 		rf, err := opts.engine(alg)
