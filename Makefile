@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench fuzz fuzz-smoke bench-sanity scale-report scale-smoke experiments examples cover serve smoke cluster-smoke ha-smoke eco-smoke chaos clean
+.PHONY: all build vet lint test race bench fuzz fuzz-smoke bench-sanity scale-report scale-smoke experiments examples benchmark-test cover serve smoke cluster-smoke ha-smoke eco-smoke chaos clean
 
 all: build vet lint test
 
@@ -123,6 +123,13 @@ examples:
 		echo "examples: $$d"; \
 		$(GO) run ./$$d > /dev/null || { echo "examples: $$d failed"; exit 1; }; \
 	done
+
+# Vet and test the benchmark harness. benchmark/ is its own Go module, so
+# `go build ./...` and `go test ./...` at the root skip it, yet it
+# compiles against internal packages: an internal API change that
+# breaks it fails here instead of when the benchmark is next run.
+benchmark-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # The eleven COVER_PKGS must each stay at or above COVER_MIN% statement
 # coverage: the pipeline core, the eigensolvers, the multilevel engine,
