@@ -12,9 +12,10 @@
 //     into the sweep shards and Lanczos cycles;
 //   - a content-addressed LRU result cache: the pipeline is a pure
 //     deterministic function of (netlist, options), so results are
-//     keyed by SHA-256 of the canonicalized netlist plus the normalized
-//     result-determining options, with hit/miss/eviction counters in
-//     the internal/obs registry;
+//     keyed by SHA-256 of the canonicalized netlist (for an ECO delta
+//     job, the base netlist as numbered plus the canonical delta) and
+//     the normalized result-determining options, with
+//     hit/miss/eviction counters in the internal/obs registry;
 //   - graceful drain: Shutdown stops intake, lets queued and running
 //     jobs finish, and only cancels them if its own context expires.
 //
