@@ -648,7 +648,7 @@ func solve(ctx context.Context, req Request, inj *fault.Injector, reg *obs.Regis
 			Stages:       tr.Finish(),
 		}, nil
 	default: // AlgoIGMatch; Submit normalized and validated Algo already
-		io := igpart.IGMatchOptions{
+		opts := igpart.IGMatchOptions{
 			Scheme:      scheme,
 			Threshold:   o.Threshold,
 			Seed:        o.Seed,
@@ -661,7 +661,7 @@ func solve(ctx context.Context, req Request, inj *fault.Injector, reg *obs.Regis
 		if w := req.warm; w != nil {
 			// Warm-start from the base's sweep state, or the cold fallback
 			// past the perturbation threshold.
-			r, err := igpart.WarmStart(w.base, igpart.IGMatchResult{NetOrder: w.order, BestRank: w.rank}, w.delta, io)
+			r, err := igpart.WarmStart(w.base, igpart.IGMatchResult{NetOrder: w.order, BestRank: w.rank}, w.delta, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -676,7 +676,7 @@ func solve(ctx context.Context, req Request, inj *fault.Injector, reg *obs.Regis
 				Stages:      tr.Finish(),
 			}, nil
 		}
-		r, err := igpart.IGMatch(req.Netlist, io)
+		r, err := igpart.IGMatch(req.Netlist, opts)
 		if err != nil {
 			return nil, err
 		}
