@@ -33,9 +33,18 @@ type jobRole interface {
 	role
 	submit(body decoder) (id string, job any, err error)
 	submitDelta(ctx context.Context, base string, body decoder) (id string, job any, err error)
-	get(id string) (any, error)
+	get(id string) (jobView, error)
 	cancel(id string) (any, error)
 	metrics(ctx context.Context) any
+}
+
+// jobView is a job as the GET route sees it: done closes when the job
+// is terminal, and wire renders its current wire form. Both come from
+// the one lookup, so a GET that waits answers for the job it found even
+// if the registry has forgotten the ID since.
+type jobView struct {
+	done <-chan struct{}
+	wire func() any
 }
 
 // batchRole is a jobRole that also takes batches: the coordinator.
@@ -63,7 +72,10 @@ var (
 //	                     coordinator routes it to a backend by consistent
 //	                     hashing on the netlist's content address
 //	GET    /v1/jobs/{id} poll status; terminal jobs carry the result (a
-//	                     coordinator relays the backend's verbatim)
+//	                     coordinator relays the backend's verbatim). With
+//	                     ?wait=<duration> (e.g. 5s) the answer waits until
+//	                     the job is terminal, the wait (capped at maxWait)
+//	                     runs out or the server begins shutting down
 //	PATCH  /v1/jobs/{id} submit an ECO delta against a finished job (202 +
 //	                     new job id, warm-started from the cache; a
 //	                     coordinator pins it to the backend that solved
@@ -127,8 +139,20 @@ func newHandler(rl role, maxBody int64) http.Handler {
 		writeAccepted(w, id, job, err)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		wait, err := parseWait(r.URL.Query().Get("wait"))
+		if err != nil {
+			writeError(w, err)
+			return
+		}
 		job, err := jobs.get(r.PathValue("id"))
-		writeOK(w, job, err)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		if wait > 0 && !awaitJob(w, r, job.done, wait) {
+			return // the client went away
+		}
+		writeJSON(w, http.StatusOK, job.wire())
 	})
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		job, err := jobs.cancel(r.PathValue("id"))
@@ -148,6 +172,62 @@ func newHandler(rl role, maxBody int64) http.Handler {
 		})
 	}
 	return mux
+}
+
+// maxWait caps a job GET's ?wait=; a longer wait is cut to it.
+const maxWait = 30 * time.Second
+
+// writeGrace is how long a long-lived answer may take to write once it
+// has something to say. http.Server's WriteTimeout counts from the
+// request's arrival, so a batch stream pushes its write deadline this
+// far ahead at every event and a job GET pushes it this far past its
+// wait.
+const writeGrace = time.Minute
+
+// parseWait reads a job GET's ?wait=, a Go duration such as 5s or
+// 250ms; an absent wait is 0, which answers at once.
+func parseWait(s string) (time.Duration, error) {
+	if s == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(s)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("bad wait %q: want a non-negative duration such as 5s", s)
+	}
+	return d, nil
+}
+
+// awaitJob holds a job GET until done closes, the capped wait runs out
+// or the server begins shutting down, and reports whether to answer:
+// false when the client went away first. The write deadline moves past
+// the wait, so a server WriteTimeout shorter than the wait cannot cut
+// the answer off and make the node look dead to a coordinator.
+func awaitJob(w http.ResponseWriter, r *http.Request, done <-chan struct{}, wait time.Duration) bool {
+	wait = min(wait, maxWait)
+	// Best-effort: not every ResponseWriter supports it.
+	http.NewResponseController(w).SetWriteDeadline(time.Now().Add(wait + writeGrace))
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case <-done:
+	case <-t.C:
+	case <-shuttingDown(r.Context()):
+	case <-r.Context().Done():
+		return false
+	}
+	return true
+}
+
+// shutdownKey is the request-context key of the channel that closes
+// when the serving http.Server begins Shutdown (see newHTTPServer).
+type shutdownKey struct{}
+
+// shuttingDown returns the channel that closes when the server serving
+// ctx's request begins Shutdown, or nil (never ready) under a server
+// that newHTTPServer did not build.
+func shuttingDown(ctx context.Context) <-chan struct{} {
+	ch, _ := ctx.Value(shutdownKey{}).(<-chan struct{})
+	return ch
 }
 
 // writeError is the one error→status mapping of every role.
@@ -198,7 +278,7 @@ func writeAccepted(w http.ResponseWriter, id string, job any, err error) {
 	writeJSON(w, http.StatusAccepted, job)
 }
 
-// writeOK answers a lookup: 200 with v, or the error's status.
+// writeOK answers a cancel: 200 with v, or the error's status.
 func writeOK(w http.ResponseWriter, v any, err error) {
 	if err != nil {
 		writeError(w, err)
@@ -252,11 +332,10 @@ func writeBatch(w http.ResponseWriter, r *http.Request, batch *cluster.Batch) {
 	flusher, _ := w.(http.Flusher)
 	rc := http.NewResponseController(w)
 	emit := func(ev batchEvent) bool {
-		// The server's WriteTimeout (when set) is absolute from request
-		// start; push the deadline out at every event so a long batch is
+		// Push the deadline out at every event, so a long batch is
 		// bounded by inactivity, not total stream lifetime. Best-effort:
 		// not every ResponseWriter supports it.
-		rc.SetWriteDeadline(time.Now().Add(time.Minute))
+		rc.SetWriteDeadline(time.Now().Add(writeGrace))
 		if err := json.NewEncoder(w).Encode(ev); err != nil {
 			return false
 		}

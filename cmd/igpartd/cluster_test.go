@@ -80,7 +80,6 @@ func (b *clusterBackend) submitted() int64 {
 func testCoordinator(t *testing.T, journalPath string, probe time.Duration, backends ...*clusterBackend) (*httptest.Server, *cluster.Coordinator) {
 	t.Helper()
 	cfg := cluster.Config{
-		PollInterval:   5 * time.Millisecond,
 		ProbeInterval:  probe,
 		RetryBaseDelay: 2 * time.Millisecond,
 		RetryMaxDelay:  10 * time.Millisecond,

@@ -139,12 +139,12 @@ func (c coordRole) submitDelta(ctx context.Context, base string, body decoder) (
 	return coordAccepted(c.coord.SubmitDelta(ctx, base, raw))
 }
 
-func (c coordRole) get(id string) (any, error) {
+func (c coordRole) get(id string) (jobView, error) {
 	job, ok := c.coord.Get(id)
 	if !ok {
-		return nil, errUnknownJob
+		return jobView{}, errUnknownJob
 	}
-	return coordSnapshotJSON(job.Snapshot()), nil
+	return jobView{job.Done(), func() any { return coordSnapshotJSON(job.Snapshot()) }}, nil
 }
 
 func (c coordRole) cancel(id string) (any, error) {

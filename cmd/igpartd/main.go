@@ -35,6 +35,7 @@ import (
 	"net"
 	"net/http"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -74,7 +75,6 @@ func main() {
 		standby         = flag.Bool("standby", false, "run as a warm-standby coordinator: tail the shared -journal, serve 503s, and take over when the leader's lease expires")
 		leaseTTL        = flag.Duration("lease-ttl", cluster.DefaultLeaseTTL, "coordinator leadership lease horizon; the leader renews at a third of this, a standby takes over once it expires")
 		clusterAttempts = flag.Int("cluster-attempts", 0, "max submissions per job across failover hops (0 = 2x backend count)")
-		pollInterval    = flag.Duration("poll-interval", 50*time.Millisecond, "backend job status poll cadence")
 		probeInterval   = flag.Duration("probe-interval", 500*time.Millisecond, "backend /readyz health probe cadence (negative disables)")
 	)
 	flag.Parse()
@@ -123,7 +123,6 @@ func main() {
 			cfg: cluster.Config{
 				Backends:      backends,
 				Attempts:      *clusterAttempts,
-				PollInterval:  *pollInterval,
 				ProbeInterval: *probeInterval,
 				MinDwell:      *minDwell,
 				Metrics:       reg,
@@ -164,6 +163,25 @@ func run(addr, dataDir string, maxBody int64, grace, readTO, writeTO time.Durati
 	return serveHTTP(addr, readTO, writeTO, handler, engine.Shutdown, grace)
 }
 
+// newHTTPServer is the daemon's http.Server over handler. Shutdown
+// first ends every pending job wait (see awaitJob), without cancelling
+// any request's context, so a long poll answers at once instead of
+// holding the drain.
+func newHTTPServer(handler http.Handler, readTO, writeTO time.Duration) *http.Server {
+	shutdown := make(chan struct{})
+	srv := &http.Server{
+		Handler:           handler,
+		ReadTimeout:       readTO,
+		WriteTimeout:      writeTO,
+		ReadHeaderTimeout: 10 * time.Second,
+		BaseContext: func(net.Listener) context.Context {
+			return context.WithValue(context.Background(), shutdownKey{}, (<-chan struct{})(shutdown))
+		},
+	}
+	srv.RegisterOnShutdown(sync.OnceFunc(func() { close(shutdown) }))
+	return srv
+}
+
 // serveHTTP is the shared daemon skeleton for both modes: listen, log
 // the bound address (the smoke scripts and tests parse this line),
 // serve until SIGTERM/SIGINT, then drain — first HTTP (so no new
@@ -176,12 +194,7 @@ func serveHTTP(addr string, readTO, writeTO time.Duration, handler http.Handler,
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{
-		Handler:           handler,
-		ReadTimeout:       readTO,
-		WriteTimeout:      writeTO,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	srv := newHTTPServer(handler, readTO, writeTO)
 	log.Printf("igpartd: listening on %s", ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)

@@ -265,12 +265,12 @@ func accepted(job *service.Job, err error) (string, any, error) {
 	return job.ID(), snapshotJSON(job.Snapshot()), nil
 }
 
-func (e engineRole) get(id string) (any, error) {
+func (e engineRole) get(id string) (jobView, error) {
 	job, ok := e.engine.Get(id)
 	if !ok {
-		return nil, errUnknownJob
+		return jobView{}, errUnknownJob
 	}
-	return snapshotJSON(job.Snapshot()), nil
+	return jobView{job.Done(), func() any { return snapshotJSON(job.Snapshot()) }}, nil
 }
 
 func (e engineRole) cancel(id string) (any, error) {

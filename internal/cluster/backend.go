@@ -101,10 +101,14 @@ type backendJob struct {
 
 // Backend call bounds: requestTimeout for each HTTP call, and the
 // tighter probeTimeout for each /readyz probe, so one hung backend
-// cannot stall a probe round for the whole fleet.
+// cannot stall a probe round for the whole fleet. pollWait is how long
+// a status poll asks the backend to hold its answer while the job is
+// not terminal; it stays below requestTimeout, so a held poll never
+// reads as a hung node.
 const (
 	requestTimeout = 10 * time.Second
 	probeTimeout   = 2 * time.Second
+	pollWait       = 5 * time.Second
 )
 
 // client wraps one backend with the coordinator's view of its health.
@@ -221,11 +225,12 @@ func (c *client) patch(ctx context.Context, id string, body []byte) (string, int
 	}
 }
 
-// poll fetches the backend's view of a job. A 404 means the backend
-// lost the job (it restarted and its registry is gone) — a node error,
-// because the cure is resubmission elsewhere.
+// poll fetches the backend's view of a job, asking it to hold the
+// answer up to pollWait until the job is terminal. A 404 means the
+// backend lost the job (it restarted and its registry is gone) — a
+// node error, because the cure is resubmission elsewhere.
 func (c *client) poll(ctx context.Context, id string) (*backendJob, error) {
-	status, out, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil)
+	status, out, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"?wait="+pollWait.String(), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -60,7 +60,6 @@ func TestCoordCrashChaos(t *testing.T) {
 	id := un[0].Job
 	c2, err := New(Config{
 		Backends:       []Backend{{Name: "b0", URL: b0.srv.URL}, {Name: "b1", URL: b1.srv.URL}},
-		PollInterval:   2 * time.Millisecond,
 		ProbeInterval:  -1,
 		RetryBaseDelay: time.Millisecond,
 		Journal:        j2,
@@ -135,7 +134,6 @@ func TestProbeTimeoutAndFailureCounter(t *testing.T) {
 		// An unroutable address: every probe fails fast.
 		Backends:      []Backend{{Name: "dead", URL: "http://127.0.0.1:1"}},
 		ProbeInterval: 2 * time.Millisecond,
-		PollInterval:  2 * time.Millisecond,
 		Metrics:       reg,
 	})
 	if err != nil {

@@ -54,8 +54,6 @@ type Config struct {
 	// (default 2·current fleet size: every backend gets a second
 	// chance after a full lap of backoff).
 	Attempts int
-	// PollInterval paces job status polls (default 50ms).
-	PollInterval time.Duration
 	// ProbeInterval paces the background /readyz prober; negative
 	// disables it (health then updates only from request outcomes),
 	// 0 means the default 500ms.
@@ -95,9 +93,6 @@ type HAConfig struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.PollInterval <= 0 {
-		c.PollInterval = 50 * time.Millisecond
-	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 500 * time.Millisecond
 	}
@@ -548,7 +543,7 @@ func (c *Coordinator) dispatch(j *Job, fn func()) {
 }
 
 // runPinned drives a delta job already accepted by its pinned backend:
-// poll to terminal, no failover.
+// wait for it to finish there, no failover.
 func (c *Coordinator) runPinned(j *Job, cl *client) {
 	bj, err := c.pollUntilTerminal(j, cl, j.backendJob)
 	switch {
@@ -608,9 +603,9 @@ func (c *Coordinator) Cancel(id string) (*Job, bool) {
 }
 
 // run drives one job to a terminal state: submit to the ring owner,
-// poll to completion, and on node death resubmit to the next backend
-// in ring order with capped, jittered backoff — at most cfg.Attempts
-// submissions in total.
+// wait for it to finish there, and on node death resubmit to the next
+// backend in ring order with capped, jittered backoff — at most
+// cfg.Attempts submissions in total.
 func (c *Coordinator) run(j *Job) {
 	if !j.Start() {
 		c.finishAborted(j)
@@ -683,18 +678,17 @@ func (c *Coordinator) run(j *Job) {
 		fmt.Errorf("cluster: no backend completed the job after %d attempts: %w", budget, lastErr))
 }
 
-// pollUntilTerminal polls the backend until the job is terminal there.
-// Any failed poll returns at once. A transport error or a 5xx already
-// marked the node down, and a 404 (the backend lost the job), an
-// unparseable body or an unexpected status does not heal by asking
-// again, so the caller fails over.
+// pollUntilTerminal long-polls the backend until the job is terminal
+// there. Each poll returns when the job finishes or when the backend's
+// wait runs out, so the loop needs no sleep and the job finishes here
+// when it finishes there. Any failed poll returns at once. A transport
+// error or a 5xx already marked the node down, and a 404 (the backend
+// lost the job), an unparseable body or an unexpected status does not
+// heal by asking again, so the caller fails over. The polls run on the
+// job's context: a Cancel aborts the one in flight.
 func (c *Coordinator) pollUntilTerminal(j *Job, cl *client, bid string) (*backendJob, error) {
-	ctx := j.Context()
 	for {
-		if err := sleepCtx(ctx, c.cfg.PollInterval); err != nil {
-			return nil, err
-		}
-		bj, err := cl.poll(ctx, bid)
+		bj, err := cl.poll(j.Context(), bid)
 		if err != nil {
 			return nil, err
 		}

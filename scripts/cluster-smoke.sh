@@ -6,6 +6,7 @@
 #      (consistent-hash routing, fsync'd job journal);
 #   3. submit a probe job to learn which backend owns the netlist's
 #      routing key (all jobs on one netlist route to its ring owner);
+#      one long poll (?wait=) on the coordinator covers the whole job;
 #   4. stream a POST /v1/batches of 8 jobs (same netlist, distinct
 #      seeds) and SIGKILL the owner backend as soon as the batch is
 #      accepted — mid-batch, before the serialized solves can finish;
@@ -24,7 +25,9 @@
 #     within the lease window, resubmit the journaled unfinished jobs
 #     under their original cjob IDs, and finish them all — with
 #     ratio-cut parity against direct backend solves and zero duplicate
-#     completion records in the journal.
+#     completion records in the journal. Before the takeover a job GET
+#     with ?wait= gets the standby's 503; after it, the promoted
+#     standby long-polls like any coordinator.
 #
 #   HA 2 (live membership): a coordinator running from -backends-file
 #     gets a backend added and the batch owner removed mid-batch (file
@@ -67,7 +70,7 @@ boot_daemon "$workdir/coord.log" -coordinator \
     -backends "n1=http://$n1_addr,n2=http://$n2_addr" \
     -journal "$workdir/journal.jsonl" \
     -data "$workdir/data" \
-    -write-timeout 0 -poll-interval 20ms -probe-interval 100ms
+    -write-timeout 0 -probe-interval 100ms
 coord_pid=$daemon_pid coord_addr=$addr
 say "coordinator up at $coord_addr"
 wait_ready
@@ -81,6 +84,9 @@ fetch POST /v1/jobs '{"path": "bm1.hgr"}'
 probe_id=$(job_field id)
 poll_job "$probe_id"
 [ "$state" = done ] || die "probe job ended '$state': $resp"
+# The coordinator held the GET until the job finished, and its relay
+# long-polled the backend the same way.
+[ "$polls" = 1 ] || die "probe job took $polls long polls, want 1"
 owner=$(job_field backend)
 case "$owner" in
     n1) owner_pid=$n1_pid; survivor=n2; survivor_pid=$n2_pid; survivor_log=$workdir/n2.log ;;
@@ -182,13 +188,13 @@ boot_daemon "$workdir/leader.log" -coordinator \
     -backends "m1=http://$m1_addr,m2=http://$m2_addr" \
     -journal "$ha_journal" -lease-ttl 1s \
     -data "$workdir/data" \
-    -write-timeout 0 -poll-interval 20ms -probe-interval 100ms
+    -write-timeout 0 -probe-interval 100ms
 leader_pid=$daemon_pid leader_addr=$addr
 boot_daemon "$workdir/standby.log" -coordinator -standby \
     -backends "m1=http://$m1_addr,m2=http://$m2_addr" \
     -journal "$ha_journal" -lease-ttl 1s \
     -data "$workdir/data" \
-    -write-timeout 0 -poll-interval 20ms -probe-interval 100ms
+    -write-timeout 0 -probe-interval 100ms
 standby_pid=$daemon_pid standby_addr=$addr
 addr=$leader_addr
 wait_ready
@@ -201,6 +207,8 @@ fetch GET /readyz
 printf '%s' "$resp" | grep -q '"role":"standby"' || die "standby readyz hides its role: $resp"
 fetch GET /healthz
 [ "$status" = 200 ] || die "standby /healthz -> $status ($resp)"
+fetch GET "/v1/jobs/cjob-1?wait=5s"
+[ "$status" = 503 ] || die "standby job GET with a wait -> $status, want 503 ($resp)"
 
 jobs=""
 for seed in 1 2 3 4 5 6 7 8; do
@@ -248,6 +256,8 @@ grep -q 'standby takeover: lease term 2' "$workdir/standby.log" || \
 grep -q 'journal replay resubmitted' "$workdir/standby.log" || \
     die "takeover replayed nothing; the kill missed the mid-batch window: $(cat "$workdir/standby.log")"
 say "standby leads at term 2 and replayed the unfinished jobs"
+fetch GET "/v1/jobs/cjob-1?wait=-1s"
+[ "$status" = 400 ] || die "promoted standby: GET with a negative wait -> $status, want 400 ($resp)"
 
 # Every batch job finishes under its original ID. A job the leader
 # completed before dying is compacted out of the takeover journal (its
@@ -313,7 +323,7 @@ boot_daemon "$workdir/coord2.log" -coordinator \
     -backends-file "$backends_file" \
     -membership-poll 100ms -min-dwell=-1s \
     -data "$workdir/data" \
-    -write-timeout 0 -poll-interval 20ms -probe-interval 100ms
+    -write-timeout 0 -probe-interval 100ms
 coord2_pid=$daemon_pid coord2_addr=$addr
 addr=$coord2_addr
 wait_ready

@@ -1,5 +1,5 @@
 # Shared helpers for the igpartd smoke scripts. POSIX sh; requires
-# curl, grep, sed. Callers must set:
+# curl, grep, sed and a date that knows +%s. Callers must set:
 #
 #   $workdir  scratch directory (fetch writes response bodies there)
 #   $IGPARTD  path to the built igpartd binary (for boot_daemon)
@@ -80,21 +80,23 @@ wait_ready() {
     die "daemon at $addr never became ready"
 }
 
-# poll_job JOB_ID: poll until terminal; leaves the state in $state and
-# the last response in $resp.
+# poll_job JOB_ID: long-poll until terminal, 60s in all. Each GET asks
+# the daemon to hold its answer up to 5s until the job finishes
+# (?wait=5s). Leaves the state in $state, the last response in $resp
+# and the number of GETs in $polls.
 poll_job() {
     job=$1
     state=""
-    i=0
-    while [ $i -lt 300 ]; do
-        fetch GET "/v1/jobs/$job"
+    polls=0
+    deadline=$(($(date +%s) + 60))
+    while [ "$(date +%s)" -lt "$deadline" ]; do
+        fetch GET "/v1/jobs/$job?wait=5s"
+        polls=$((polls + 1))
         [ "$status" = 200 ] || die "poll -> $status ($resp)"
         state=$(printf '%s' "$resp" | sed -n 's/.*"state":"\([^"]*\)".*/\1/p')
         case "$state" in
             done|failed|cancelled) return 0 ;;
         esac
-        sleep 0.2
-        i=$((i + 1))
     done
     die "job $job stuck in state '$state'"
 }

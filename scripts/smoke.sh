@@ -4,7 +4,8 @@
 #   1. build igpartd and netgen;
 #   2. generate a benchmark netlist into a scratch data directory;
 #   3. boot the daemon on a random port and parse the address it logs;
-#   4. submit the netlist by server-side path, poll until terminal;
+#   4. submit the netlist by server-side path and long-poll it: one
+#      GET with ?wait= covers the solve, and a malformed wait gets 400;
 #   5. assert the job finished "done" with a positive ratio cut;
 #   6. SIGTERM the daemon and require a clean, prompt exit;
 #   7. reboot with -inject 'worker.panic:limit=1': the first job fails
@@ -47,6 +48,8 @@ job_id=$(job_field id)
 say "polling $job_id"
 poll_job "$job_id"
 [ "$state" = done ] || die "job ended '$state': $resp"
+# The daemon held the first GET until the solve finished.
+[ "$polls" = 1 ] || die "job took $polls long polls, want 1"
 
 ratio=$(printf '%s' "$resp" | sed -n 's/.*"ratio_cut":\([0-9.e+-]*\).*/\1/p')
 [ -n "$ratio" ] || die "no ratio_cut in result: $resp"
@@ -54,6 +57,8 @@ case "$ratio" in
     0|0.0|-*) die "implausible ratio cut $ratio" ;;
 esac
 say "job done, ratio cut $ratio"
+fetch GET "/v1/jobs/$job_id?wait=abc"
+[ "$status" = 400 ] || die "GET with a malformed wait -> $status, want 400 ($resp)"
 
 fetch GET /metrics
 printf '%s' "$resp" | grep -q '"service.jobs_completed":1' || \
