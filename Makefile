@@ -33,14 +33,16 @@ test:
 
 # CI fuzz smoke: 10 seconds each on the Bookshelf writer round trip, the
 # multilevel V-cycle invariants, service request validation (generic,
-# k-way, and ECO delta), the benchmark generator's structural contract,
-# and the IG-Match sweep's per-split output, full and candidate.
+# k-way, ECO delta, and tiny requests run to their outcome under every
+# algorithm), the benchmark generator's structural contract, and the
+# IG-Match sweep's per-split output, full and candidate.
 fuzz-smoke:
 	$(GO) test ./internal/hypergraph -run '^$$' -fuzz '^FuzzBookshelfRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/multilevel -run '^$$' -fuzz '^FuzzVCycle$$' -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzRequestValidate$$' -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzKWayRequest$$' -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzDeltaRequest$$' -fuzztime 10s
+	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzTinyRequest$$' -fuzztime 10s
 	$(GO) test ./internal/netgen -run '^$$' -fuzz '^FuzzNetgen$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSweep$$' -fuzztime 10s
 
@@ -54,7 +56,7 @@ chaos:
 	$(GO) test -race ./internal/fault
 	$(GO) test -race ./internal/core -run 'Panic|SlowShard|FaultThreaded'
 	$(GO) test -race ./internal/eigen -run 'Fallback|NoConverge|Rung|NonFinite'
-	$(GO) test -race ./internal/service -run 'Chaos|Retry|Backoff|Health|Validate|ShutdownRacingCancel'
+	$(GO) test -race ./internal/service -run 'Chaos|Health|Validate|ShutdownRacingCancel'
 	$(GO) test -race ./internal/cluster -run 'Failover|Dead|JournalRecovery|Backpressure|Lease|Standby|Membership|Backends|Crash|Probe|JournalFailure'
 	$(GO) test -race ./cmd/igpartd -run 'Readyz|Liveness|IOReadErr|BadRequest|ClusterChaos|ClusterCoordinatorRestart|Standby|SwitchHandler|JournalFailure'
 
@@ -97,8 +99,8 @@ bench:
 
 # Short fuzzing pass over every fuzz target: the parsers, the Bookshelf
 # writer round trip, the multilevel V-cycle, service request validation
-# (generic, k-way, and ECO delta), the benchmark generator, and the
-# IG-Match sweep's per-split output.
+# (generic, k-way, ECO delta, and tiny requests run to their outcome),
+# the benchmark generator, and the IG-Match sweep's per-split output.
 fuzz:
 	$(GO) test ./internal/hypergraph -fuzz FuzzReadHGR -fuzztime 30s
 	$(GO) test ./internal/hypergraph -fuzz FuzzReadNetlist -fuzztime 30s
@@ -108,6 +110,7 @@ fuzz:
 	$(GO) test ./internal/service -fuzz FuzzRequestValidate -fuzztime 30s
 	$(GO) test ./internal/service -fuzz FuzzKWayRequest -fuzztime 30s
 	$(GO) test ./internal/service -fuzz FuzzDeltaRequest -fuzztime 30s
+	$(GO) test ./internal/service -fuzz FuzzTinyRequest -fuzztime 30s
 	$(GO) test ./internal/netgen -fuzz FuzzNetgen -fuzztime 30s
 	$(GO) test ./internal/core -fuzz FuzzSweep -fuzztime 30s
 

@@ -15,6 +15,7 @@ import (
 
 	"igpart"
 	"igpart/internal/cluster"
+	"igpart/internal/fault"
 	"igpart/internal/jobreg"
 	"igpart/internal/obs"
 	"igpart/internal/service"
@@ -30,10 +31,21 @@ type clusterBackend struct {
 	pinID  string
 }
 
-func newClusterBackend(t *testing.T, name string) *clusterBackend {
+// stallPin arms worker.stall once: the first job a backend runs, its
+// pin, holds the single worker until the pin is cancelled, however fast
+// that solve would be.
+var stallPin = fault.Rule{Point: fault.WorkerStall, Limit: 1}
+
+// newClusterBackend starts a one-worker backend whose engine arms the
+// given fault rules, none by default.
+func newClusterBackend(t *testing.T, name string, rules ...fault.Rule) *clusterBackend {
 	t.Helper()
+	inj, err := fault.New(1, nil, rules...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	reg := new(obs.Registry)
-	engine := service.New(service.Config{Workers: 1, Metrics: reg})
+	engine := service.New(service.Config{Workers: 1, Metrics: reg, Fault: inj})
 	ts := httptest.NewServer(newServer(engine, serverConfig{}))
 	b := &clusterBackend{name: name, engine: engine, reg: reg, ts: ts}
 	t.Cleanup(func() {
@@ -47,9 +59,10 @@ func newClusterBackend(t *testing.T, name string) *clusterBackend {
 	return b
 }
 
-// pin occupies the backend's single worker with a long solve submitted
+// pin occupies the backend's single worker with a job submitted
 // directly (not through the coordinator), so coordinator jobs routed to
-// this backend queue without completing.
+// this backend queue without completing. Under stallPin the pin holds
+// until it is cancelled; elsewhere it lasts one full-size Prim2 solve.
 func (b *clusterBackend) pin(t *testing.T) {
 	t.Helper()
 	body, _ := bookshelfPayload(t, "Prim2", 1.0, map[string]any{"parallelism": 1})
@@ -195,15 +208,24 @@ func readEvent(t *testing.T, br *bufio.Reader) batchEvent {
 // ratio cut identical to what a single-node solve computes, and the
 // failover must be visible in the resubmit counter.
 func TestClusterChaosFailover(t *testing.T) {
-	b0 := newClusterBackend(t, "b0")
-	b1 := newClusterBackend(t, "b1")
-	cts, coord := testCoordinator(t, filepath.Join(t.TempDir(), "journal.jsonl"), -1, b0, b1)
-
 	const n = 6
 	body, h := batchBody(t, "bm1", 0.25, n)
-	owner, survivor := b0, b1
-	if coord.Ring().Owner(routingKey(h)) == "b1" {
-		owner, survivor = b1, b0
+	// Only the ring owner of the batch's netlist stalls its pin, so no
+	// batch job can complete there before the kill, while the survivor
+	// runs every job it is handed.
+	ring, err := cluster.NewRing([]string{"b0", "b1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var owner, survivor *clusterBackend
+	if ring.Owner(routingKey(h)) == "b0" {
+		owner, survivor = newClusterBackend(t, "b0", stallPin), newClusterBackend(t, "b1")
+	} else {
+		survivor, owner = newClusterBackend(t, "b0"), newClusterBackend(t, "b1", stallPin)
+	}
+	cts, coord := testCoordinator(t, filepath.Join(t.TempDir(), "journal.jsonl"), -1, owner, survivor)
+	if got := coord.Ring().Owner(routingKey(h)); got != owner.name {
+		t.Fatalf("coordinator routes the batch to %s, want %s", got, owner.name)
 	}
 	// Single-node ground truth per seed (solves are deterministic).
 	direct := make(map[int64]float64, n)
@@ -239,6 +261,9 @@ func TestClusterChaosFailover(t *testing.T) {
 	}
 	owner.ts.CloseClientConnections()
 	owner.ts.Close()
+	// Release the pin, so the owner's cleanup drains its queue instead
+	// of waiting out the drain budget.
+	owner.engine.Cancel(owner.pinID)
 
 	// Every job completes on the survivor, after at least one failover
 	// hop, with the single-node result.
@@ -386,8 +411,8 @@ func TestClusterBatchStreamAndAggregates(t *testing.T) {
 // crash must complete after the restart, queryable under their original
 // IDs, without the client resubmitting anything.
 func TestClusterCoordinatorRestartReplaysJournal(t *testing.T) {
-	b0 := newClusterBackend(t, "b0")
-	b1 := newClusterBackend(t, "b1")
+	b0 := newClusterBackend(t, "b0", stallPin)
+	b1 := newClusterBackend(t, "b1", stallPin)
 	journal := filepath.Join(t.TempDir(), "journal.jsonl")
 
 	// Pin both backends: nothing the batch submits can complete, so the

@@ -50,7 +50,7 @@ func TestReadyzDegradesOnPanicStreak(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts, engine := testServer(t, service.Config{
-		Workers: 1, RetryAttempts: -1, Fault: inj,
+		Workers: 1, Fault: inj,
 	}, serverConfig{inj: inj})
 
 	body, _ := bookshelfPayload(t, "Prim1", 0.1, nil)

@@ -57,12 +57,11 @@ func main() {
 		shutdownGrace = flag.Duration("shutdown-grace", 30*time.Second, "drain budget after SIGTERM before cancelling jobs")
 		readTimeout   = flag.Duration("read-timeout", 30*time.Second, "per-request read timeout")
 		writeTimeout  = flag.Duration("write-timeout", 30*time.Second, "per-request write timeout (0 = none; coordinator mode defaults to 0 so batch streams are not cut off)")
-		retry         = flag.Int("retry", 0, "solve attempts per job (0 = default 2, negative disables retrying)")
 		inject        = flag.String("inject", "", "fault-injection spec, e.g. 'worker.panic:limit=1,eigen.noconverge:p=0.5' (empty = off)")
 		injectSeed    = flag.Int64("inject-seed", 1, "seed for the deterministic fault-injection streams")
 
 		// Cluster-mode flags. With -coordinator the engine flags above
-		// (-workers, -queue, -cache, -retry, job timeouts) are unused:
+		// (-workers, -queue, -cache, job timeouts) are unused:
 		// the coordinator computes nothing itself. -inject stays live for
 		// the coordinator-side chaos points (coord.crash,
 		// journal.write-err).
@@ -150,7 +149,6 @@ func main() {
 		DefaultTimeout: *jobTimeout,
 		MaxTimeout:     *maxJobTimeout,
 		Metrics:        reg,
-		RetryAttempts:  *retry,
 		Fault:          inj,
 	}); err != nil {
 		log.Fatalf("igpartd: %v", err)

@@ -17,28 +17,22 @@ import (
 )
 
 // heldEngine returns a one-worker engine that holds the first job it
-// runs: that job's first solve panics (worker.panic, once) and its
-// retry then waits out a backoff of at least half an hour, so the job
-// stays running until it is cancelled, and every later job queues
-// behind it.
-func heldEngine(t *testing.T) *service.Engine {
+// runs: that job's solve stalls (worker.stall, once) until the job is
+// cancelled, so it stays running and every later job queues behind
+// it. The injector reports when the stall has fired.
+func heldEngine(t *testing.T) (*service.Engine, *fault.Injector) {
 	t.Helper()
-	inj, err := fault.New(1, nil, fault.Rule{Point: fault.WorkerPanic, Limit: 1})
+	inj, err := fault.New(1, nil, fault.Rule{Point: fault.WorkerStall, Limit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := service.New(service.Config{
-		Workers:        1,
-		Fault:          inj,
-		RetryBaseDelay: time.Hour,
-		RetryMaxDelay:  time.Hour,
-	})
+	engine := service.New(service.Config{Workers: 1, Fault: inj})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 		defer cancel()
 		_ = engine.Shutdown(ctx)
 	})
-	return engine
+	return engine, inj
 }
 
 // waitRole is one job-taking role under the wait tests: its handler,
@@ -56,7 +50,7 @@ type waitRole struct {
 // backend.
 func newWaitRole(t *testing.T, role string) waitRole {
 	t.Helper()
-	engine := heldEngine(t)
+	engine, inj := heldEngine(t)
 	ets := httptest.NewServer(newServer(engine, serverConfig{}))
 	t.Cleanup(ets.Close)
 	ts := ets
@@ -77,7 +71,7 @@ func newWaitRole(t *testing.T, role string) waitRole {
 	r := waitRole{handler: ts.Config.Handler, held: submit(1)}
 	// Queue the second job only once the first holds the worker.
 	deadline := time.Now().Add(10 * time.Second)
-	for engine.Metrics().Counter("service.panics_recovered").Value() == 0 {
+	for inj.Fires(fault.WorkerStall) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("the held job never ran")
 		}

@@ -60,7 +60,7 @@ type Config struct {
 	ProbeInterval time.Duration
 	// RetryBaseDelay and RetryMaxDelay shape the capped exponential
 	// backoff between failover hops (defaults 100ms and 2s), computed
-	// by the shared fault.BackoffDelay machinery.
+	// by fault.BackoffDelay.
 	RetryBaseDelay time.Duration
 	RetryMaxDelay  time.Duration
 	// MinDwell is the flapping guard for dynamic membership: a backend

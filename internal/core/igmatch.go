@@ -163,6 +163,12 @@ type Result struct {
 	Recursed bool
 }
 
+// ErrNoProperCompletion reports that every swept split's completion
+// left one side empty, so the run found no bipartition at all. It
+// depends only on the netlist and the options: the same request fails
+// the same way every time.
+var ErrNoProperCompletion = errors.New("core: no proper completion found")
+
 // Partition runs IG-Match on the netlist h.
 func Partition(h *hypergraph.Hypergraph, opts Options) (Result, error) {
 	return fiedlerSweep(h, 0, opts)
@@ -412,7 +418,7 @@ func sweep(h *hypergraph.Hypergraph, order []int, budget int, opts Options) (Res
 		if cons != nil {
 			return Result{}, ErrNoFeasibleCompletion
 		}
-		return Result{}, fmt.Errorf("core: no proper completion found (every %s left one side empty)", splitName)
+		return Result{}, fmt.Errorf("%w (every %s left one side empty)", ErrNoProperCompletion, splitName)
 	}
 	reg := rec.Metrics()
 	if budget > 0 {

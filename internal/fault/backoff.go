@@ -2,11 +2,10 @@ package fault
 
 import "time"
 
-// Splitmix64 is a single mixing step of the splitmix generator: enough
-// to decorrelate nearby seeds into independent-looking jitter streams.
-// It is the shared hash behind every deterministic backoff schedule in
-// the tree (service retries, cluster failover resubmission).
-func Splitmix64(x uint64) uint64 {
+// splitmix64 is a single mixing step of the splitmix generator: enough
+// to decorrelate nearby seeds into independent-looking jitter streams
+// for BackoffDelay.
+func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
@@ -29,7 +28,7 @@ func BackoffDelay(attempt int, base, max time.Duration, seed uint64) time.Durati
 		d = max
 	}
 	// Jitter scales into [½, 1): keep half the delay, randomize the rest.
-	frac := float64(Splitmix64(seed^uint64(attempt))>>11) / (1 << 53)
+	frac := float64(splitmix64(seed^uint64(attempt))>>11) / (1 << 53)
 	return d/2 + time.Duration(frac*float64(d/2))
 }
 

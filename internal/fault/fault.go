@@ -43,6 +43,10 @@ const (
 	// WorkerPanic fires inside a service worker's recovery barrier,
 	// panicking before the solve starts. Exercises panic isolation.
 	WorkerPanic Point = "worker.panic"
+	// WorkerStall fires inside a service worker's recovery barrier,
+	// holding the job's solve until the job is cancelled or its deadline
+	// passes. Exercises the lifecycle of a job that stays running.
+	WorkerStall Point = "worker.stall"
 	// EigenNoConverge fires at the entry of a Lanczos (or block-Lanczos)
 	// solve, simulating non-convergence. Exercises the Fiedler fallback
 	// chain (reseeded retry, then dense Jacobi).
@@ -73,7 +77,7 @@ const (
 
 // Points lists every known injection point in stable order.
 func Points() []Point {
-	return []Point{WorkerPanic, EigenNoConverge, SweepSlowShard, CacheEvictStorm, IOReadErr, CoordCrash, JournalWriteErr}
+	return []Point{WorkerPanic, WorkerStall, EigenNoConverge, SweepSlowShard, CacheEvictStorm, IOReadErr, CoordCrash, JournalWriteErr}
 }
 
 func knownPoint(p Point) bool {

@@ -32,7 +32,7 @@ func TestChaosWorkerPanicSurvives100(t *testing.T) {
 	const n = 100
 	h := genNetlist(t, 60, 70, 1)
 	inj := mustInjector(t, 42, fault.Rule{Point: fault.WorkerPanic, Limit: n})
-	e := New(Config{Workers: 2, QueueDepth: n + 4, RetryAttempts: -1, Fault: inj})
+	e := New(Config{Workers: 2, QueueDepth: n + 4, Fault: inj})
 	defer shutdownNow(t, e)
 
 	jobs := make([]*Job, 0, n)
@@ -88,7 +88,7 @@ func TestChaosWorkerPanicSurvives100(t *testing.T) {
 func TestChaosEigenNoConvergeSameCut(t *testing.T) {
 	h := genNetlist(t, 150, 180, 9) // 180 nets ≤ default cutoff 512
 	inj := mustInjector(t, 5, fault.Rule{Point: fault.EigenNoConverge})
-	e := New(Config{Workers: 1, RetryAttempts: -1, Fault: inj})
+	e := New(Config{Workers: 1, Fault: inj})
 	defer shutdownNow(t, e)
 
 	j, err := e.Submit(Request{Netlist: h})
@@ -163,7 +163,7 @@ func TestChaosMixedFaultSweep(t *testing.T) {
 		fault.Rule{Point: fault.EigenNoConverge, Every: 2},
 		fault.Rule{Point: fault.CacheEvictStorm},
 	)
-	e := New(Config{Workers: 2, QueueDepth: 32, RetryAttempts: -1, Fault: inj})
+	e := New(Config{Workers: 2, QueueDepth: 32, Fault: inj})
 	defer shutdownNow(t, e)
 
 	const n = 24
@@ -193,29 +193,6 @@ func TestChaosMixedFaultSweep(t *testing.T) {
 	if snap.Counters["service.panics_recovered"] != int64(failed) {
 		t.Fatalf("panics_recovered = %d, failed jobs = %d",
 			snap.Counters["service.panics_recovered"], failed)
-	}
-}
-
-// TestChaosRetryAbsorbsOnePanic shows retry and panic isolation
-// composing: with worker.panic limited to one fire and two attempts
-// allowed, the single submitted job panics, backs off, and succeeds.
-func TestChaosRetryAbsorbsOnePanic(t *testing.T) {
-	h := genNetlist(t, 60, 70, 2)
-	inj := mustInjector(t, 8, fault.Rule{Point: fault.WorkerPanic, Limit: 1})
-	e := New(Config{Workers: 1, RetryAttempts: 2, RetryBaseDelay: time.Millisecond, Fault: inj})
-	defer shutdownNow(t, e)
-
-	j, err := e.Submit(Request{Netlist: h})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	s := j.Wait(context.Background())
-	if s.State != jobreg.StateDone {
-		t.Fatalf("state=%s err=%v, want done after retry", s.State, s.Err)
-	}
-	snap := e.Metrics().Snapshot()
-	if snap.Counters["service.retries"] != 1 || snap.Counters["service.panics_recovered"] != 1 {
-		t.Fatalf("counters = %+v, want 1 retry / 1 recovered panic", snap.Counters)
 	}
 }
 

@@ -156,6 +156,31 @@ func TestSubmitDeltaRejections(t *testing.T) {
 	if _, err := e.SubmitDelta(base.ID(), d, -time.Second); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("negative timeout: err = %v, want ErrBadRequest", err)
 	}
+
+	// A delta that leaves fewer than 2 nets has no sweep to warm-start.
+	path := igpart.NewBuilder().SetNumModules(4)
+	path.AddNet(0, 1)
+	path.AddNet(1, 2)
+	path.AddNet(2, 3)
+	small := solveBase(t, e, path.Build(), Options{})
+	for _, tc := range []struct {
+		name string
+		d    igpart.NetlistDelta
+		ok   bool
+	}{
+		{"leaves one net", igpart.NetlistDelta{RemoveNets: []int{0, 2}}, false},
+		{"leaves no net", igpart.NetlistDelta{RemoveNets: []int{0, 1, 2}}, false},
+		{"adds back to one net", igpart.NetlistDelta{RemoveNets: []int{0, 1, 2}, AddNets: [][]int{{0, 3}}}, false},
+		{"leaves two nets", igpart.NetlistDelta{RemoveNets: []int{0, 1, 2}, AddNets: [][]int{{0, 1}, {2, 3}}}, true},
+	} {
+		_, err := e.SubmitDelta(small.ID(), tc.d, 0)
+		if tc.ok && err != nil {
+			t.Errorf("%s: err = %v, want accepted", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: err = %v, want ErrBadRequest", tc.name, err)
+		}
+	}
 }
 
 func TestSubmitDeltaCacheHit(t *testing.T) {

@@ -116,6 +116,7 @@ func badf(format string, args ...any) error {
 }
 
 // Validate rejects requests that can never run: no or empty netlist,
+// fewer than 2 modules, fewer than 2 nets for IG-Match or multilevel,
 // negative timeouts, and option values outside any sane range. It is
 // called by Engine.Submit before normalization; everything it rejects
 // wraps ErrBadRequest so transports can classify with errors.Is.
@@ -126,10 +127,18 @@ func (r Request) Validate() error {
 	if r.Netlist.NumNets() == 0 {
 		return badf("netlist has no nets")
 	}
-	if r.Netlist.NumModules() == 0 {
-		return badf("netlist has no modules")
+	if n := r.Netlist.NumModules(); n < 2 {
+		return badf("a partition needs at least 2 modules, netlist has %d", n)
 	}
 	o := r.Options
+	if m := r.Netlist.NumNets(); m < 2 {
+		// The IG-Match sweep splits the Fiedler order of the nets, and one
+		// net has no split. Portfolio and k-way have engines that need none.
+		switch o.Algo {
+		case "", AlgoIGMatch, AlgoMultilevel:
+			return badf("the IG-Match sweep needs at least 2 nets, netlist has %d", m)
+		}
+	}
 	if o.Timeout < 0 {
 		return badf("negative timeout %v", o.Timeout)
 	}

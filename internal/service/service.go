@@ -81,21 +81,11 @@ type Config struct {
 	// outcome, queue rejections, cache hits/misses/evictions). Nil gets
 	// a private registry, still reachable via Engine.Metrics.
 	Metrics *obs.Registry
-	// RetryAttempts bounds how many times a failed solve runs in total
-	// (first try included). Default 2 — one retry; negative disables
-	// retrying. Retrying is safe because a solve is a pure function of
-	// the request and successful results are published to the cache.
-	RetryAttempts int
-	// RetryBaseDelay and RetryMaxDelay shape the capped exponential
-	// backoff between attempts (base·2^(n−1), capped, with
-	// deterministic jitter). Defaults 50ms and 2s.
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
 	// Fault arms deterministic fault-injection points in the engine
-	// (worker.panic inside the solve barrier, cache.evict-storm on cache
-	// stores) and is forwarded to the pipeline for eigen.noconverge and
-	// sweep.slow-shard. Nil — the production default — disarms
-	// everything at zero cost.
+	// (worker.panic and worker.stall inside the solve barrier,
+	// cache.evict-storm on cache stores) and is forwarded to the
+	// pipeline for eigen.noconverge and sweep.slow-shard. Nil — the
+	// production default — disarms everything at zero cost.
 	Fault *fault.Injector
 }
 
@@ -111,18 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Metrics == nil {
 		c.Metrics = new(obs.Registry)
-	}
-	if c.RetryAttempts == 0 {
-		c.RetryAttempts = 2
-	}
-	if c.RetryAttempts < 1 {
-		c.RetryAttempts = 1
-	}
-	if c.RetryBaseDelay <= 0 {
-		c.RetryBaseDelay = 50 * time.Millisecond
-	}
-	if c.RetryMaxDelay <= 0 {
-		c.RetryMaxDelay = 2 * time.Second
 	}
 	return c
 }
@@ -221,8 +199,6 @@ type Engine struct {
 	// solveFn computes a request's result, cold or ECO delta; tests
 	// substitute a stub to exercise lifecycle paths deterministically.
 	solveFn func(ctx context.Context, req Request) (*Result, error)
-	// clock paces retry backoff; tests substitute a fake.
-	clock clock
 
 	jobs *jobreg.Registry[*Job]
 
@@ -239,7 +215,6 @@ func New(cfg Config) *Engine {
 		reg:   cfg.Metrics,
 		cache: newLRU(cfg.CacheEntries, cfg.Metrics, cfg.Fault),
 		queue: make(chan *Job, cfg.QueueDepth),
-		clock: realClock{},
 		jobs:  jobreg.New[*Job](keepFinished),
 	}
 	// The solve closure binds the engine's injector so the pipeline's
@@ -281,7 +256,7 @@ func (e *Engine) Submit(req Request) (*Job, error) {
 // completion only — no eigensolve), falling back to a cold solve past
 // the perturbation threshold. The delta job is a first-class job: an
 // IG-Match request under the base's options, on the same queue,
-// lifecycle, retry, solve and cache path as any other, with its own
+// lifecycle, solve and cache path as any other, with its own
 // cache entry keyed on (base netlist as numbered, canonical delta,
 // options) so equivalent re-submissions hit. Its result carries the new
 // net ordering, so further deltas may chain off it.
@@ -305,6 +280,11 @@ func (e *Engine) SubmitDelta(baseID string, d igpart.NetlistDelta, timeout time.
 	bh := base.req.Netlist
 	if err := d.Validate(bh); err != nil {
 		return nil, badf("invalid delta: %v", err)
+	}
+	// A valid delta removes distinct nets and Apply keeps every base
+	// module, so the applied netlist's size is known without applying.
+	if m := bh.NumNets() - len(d.RemoveNets) + len(d.AddNets); m < 2 {
+		return nil, badf("the IG-Match sweep needs at least 2 nets, the delta leaves %d", m)
 	}
 	o := base.req.Options
 	o.Algo, o.Timeout = AlgoIGMatch, timeout
@@ -432,7 +412,7 @@ func (e *Engine) run(job *Job) {
 		e.settle(job, jobreg.StateDone, res, true, nil)
 		return
 	}
-	res, err := e.solveWithRetry(job)
+	res, err := e.safeSolve(job)
 	switch {
 	case err == nil:
 		// Publish to the cache even if a racing Cancel beat us to the
@@ -464,12 +444,13 @@ func (e *Engine) settle(job *Job, state jobreg.State, res *Result, cached bool, 
 	})
 }
 
-// safeSolve runs one solve attempt behind the worker recover barrier: a
-// panic anywhere in the pipeline (or injected at fault.WorkerPanic)
+// safeSolve runs the job's one solve behind the worker recover barrier:
+// a panic anywhere in the pipeline (or injected at fault.WorkerPanic)
 // becomes a structured *fault.PanicError instead of killing the daemon.
 // Recovered panics count in service.panics_recovered and extend the
 // consecutive-panic streak that Health watches; any non-panicking
-// attempt resets the streak.
+// solve resets the streak. A failed solve is not run again: it is a
+// pure function of the request, so a second run fails the same way.
 func (e *Engine) safeSolve(job *Job) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -479,7 +460,14 @@ func (e *Engine) safeSolve(job *Job) (res *Result, err error) {
 	if e.cfg.Fault.Active(fault.WorkerPanic) {
 		panic("injected fault: " + string(fault.WorkerPanic))
 	}
-	res, err = e.solveFn(job.Context(), job.req)
+	ctx := job.Context()
+	if e.cfg.Fault.Active(fault.WorkerStall) {
+		// Hold the job running until it is cancelled or its deadline
+		// passes; run classifies it by the cause.
+		<-ctx.Done()
+		return nil, context.Cause(ctx)
+	}
+	res, err = e.solveFn(ctx, job.req)
 	e.mu.Lock()
 	e.panicStreak = 0
 	e.mu.Unlock()
@@ -494,31 +482,6 @@ func (e *Engine) notePanic(pe *fault.PanicError) error {
 	e.reg.Gauge("service.panic_streak").Set(float64(e.panicStreak))
 	e.mu.Unlock()
 	return pe
-}
-
-// solveWithRetry runs up to Config.RetryAttempts solve attempts with
-// capped exponential backoff between them. A solve is a pure function
-// of the request and winners are published to the result cache, so
-// retrying is idempotent. The loop is deadline-aware twice over: a job
-// context that has fired stops the loop at once, and the backoff sleep
-// itself aborts when the context fires mid-wait.
-func (e *Engine) solveWithRetry(job *Job) (*Result, error) {
-	// The job's jitter stream, mixed with the request seed.
-	seed := fault.JitterSeed(job.ID()) ^ fault.Splitmix64(uint64(job.req.Options.Seed))
-	ctx := job.Context()
-	for attempt := 1; ; attempt++ {
-		res, err := e.safeSolve(job)
-		if err == nil || ctx.Err() != nil || attempt >= e.cfg.RetryAttempts {
-			return res, err
-		}
-		e.reg.Counter("service.retries").Add(1)
-		d := fault.BackoffDelay(attempt, e.cfg.RetryBaseDelay, e.cfg.RetryMaxDelay, seed)
-		if e.clock.Sleep(ctx, d) != nil {
-			// Deadline or cancel mid-backoff: surface the solve error; run()
-			// classifies by the context cause.
-			return nil, err
-		}
-	}
 }
 
 // finalizeAborted finishes a job whose context fired, classifying by

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"igpart"
+	"igpart/internal/core"
 	"igpart/internal/hypergraph"
 	"igpart/internal/jobreg"
 )
@@ -238,6 +239,35 @@ func TestDeadlineFailsJob(t *testing.T) {
 	s := j.Wait(context.Background())
 	if s.State != jobreg.StateFailed || !errors.Is(s.Err, context.DeadlineExceeded) {
 		t.Fatalf("deadline job: state=%s err=%v, want failed/DeadlineExceeded", s.State, s.Err)
+	}
+}
+
+// TestNoProperCompletionIsTyped pins the one deterministic solve
+// failure a valid request can meet: the job fails after a single solve,
+// and errors.Is reaches core.ErrNoProperCompletion through IG-Match's
+// error and through multilevel's wrap of it.
+func TestNoProperCompletionIsTyped(t *testing.T) {
+	e := New(Config{Workers: 1})
+	defer shutdownNow(t, e)
+	var solves atomic.Int64
+	inner := e.solveFn
+	e.solveFn = func(ctx context.Context, req Request) (*Result, error) {
+		solves.Add(1)
+		return inner(ctx, req)
+	}
+	for _, algo := range []string{AlgoIGMatch, AlgoMultilevel} {
+		solves.Store(0)
+		j, err := e.Submit(Request{Netlist: tinyNetlist(), Options: Options{Algo: algo}})
+		if err != nil {
+			t.Fatalf("%s: submit: %v", algo, err)
+		}
+		s := j.Wait(context.Background())
+		if s.State != jobreg.StateFailed || !errors.Is(s.Err, core.ErrNoProperCompletion) {
+			t.Fatalf("%s: state=%s err=%v, want failed/ErrNoProperCompletion", algo, s.State, s.Err)
+		}
+		if got := solves.Load(); got != 1 {
+			t.Fatalf("%s: the failed job ran %d solves, want 1", algo, got)
+		}
 	}
 }
 

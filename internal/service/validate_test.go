@@ -1,18 +1,24 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
 	"time"
 
 	"igpart"
+	"igpart/internal/core"
 	"igpart/internal/hypergraph"
+	"igpart/internal/jobreg"
 )
 
-// tinyNetlist builds a minimal valid netlist: two modules, one net.
+// tinyNetlist builds a minimal netlist that Validate accepts: two
+// modules, both on each of two nets. No split of it has a proper
+// completion, so an IG-Match job on it fails.
 func tinyNetlist() *igpart.Netlist {
 	b := igpart.NewBuilder().SetNumModules(2)
+	b.AddNet(0, 1)
 	b.AddNet(0, 1)
 	return b.Build()
 }
@@ -20,12 +26,24 @@ func tinyNetlist() *igpart.Netlist {
 func TestValidateRejectsBadRequests(t *testing.T) {
 	good := tinyNetlist()
 	empty := igpart.NewBuilder().SetNumModules(2).Build()
+	oneModule := igpart.NewBuilder().SetNumModules(1)
+	oneModule.AddNet(0)
+	oneModule.AddNet(0)
+	oneNet := igpart.NewBuilder().SetNumModules(3)
+	oneNet.AddNet(0, 1, 2)
 	cases := []struct {
 		name string
 		req  Request
 	}{
 		{"nil netlist", Request{}},
 		{"zero nets", Request{Netlist: empty}},
+		{"one module", Request{Netlist: oneModule.Build()}},
+		{"one module, portfolio", Request{Netlist: oneModule.Build(), Options: Options{Algo: AlgoPortfolio}}},
+		{"one module, kway", Request{Netlist: oneModule.Build(), Options: Options{Algo: AlgoKWay, K: 2}}},
+		{"one module, kway-spectral", Request{Netlist: oneModule.Build(), Options: Options{Algo: AlgoKWaySpectral, K: 2}}},
+		{"one net, default algo", Request{Netlist: oneNet.Build()}},
+		{"one net, igmatch", Request{Netlist: oneNet.Build(), Options: Options{Algo: AlgoIGMatch}}},
+		{"one net, multilevel", Request{Netlist: oneNet.Build(), Options: Options{Algo: AlgoMultilevel}}},
 		{"negative timeout", Request{Netlist: good, Options: Options{Timeout: -time.Second}}},
 		{"NaN coarsening ratio", Request{Netlist: good, Options: Options{Algo: AlgoMultilevel, CoarseningRatio: math.NaN()}}},
 		{"Inf coarsening ratio", Request{Netlist: good, Options: Options{Algo: AlgoMultilevel, CoarseningRatio: math.Inf(1)}}},
@@ -41,6 +59,12 @@ func TestValidateRejectsBadRequests(t *testing.T) {
 	}
 	if err := (Request{Netlist: good}).Validate(); err != nil {
 		t.Fatalf("minimal valid request rejected: %v", err)
+	}
+	// Portfolio and the k-way engines partition one net's modules.
+	for _, o := range []Options{{Algo: AlgoPortfolio}, {Algo: AlgoKWay, K: 2}, {Algo: AlgoKWaySpectral, K: 2}} {
+		if err := (Request{Netlist: oneNet.Build(), Options: o}).Validate(); err != nil {
+			t.Errorf("one-net %s request rejected: %v", o.Algo, err)
+		}
 	}
 }
 
@@ -112,6 +136,57 @@ func FuzzRequestValidate(f *testing.F) {
 		// Validate must be deterministic.
 		if err2 := req.Validate(); err2 != nil {
 			t.Fatalf("second Validate disagreed: %v", err2)
+		}
+	})
+}
+
+// FuzzTinyRequest runs tiny requests, at most 8 modules and 8 nets,
+// through the engine under every algorithm, and holds intake validation
+// to exactness: a request is rejected with ErrBadRequest, or completes,
+// or fails with core.ErrNoProperCompletion, the one failure only the
+// sweep itself can find. Each byte of nets is one net's pin mask.
+func FuzzTinyRequest(f *testing.F) {
+	algos := []string{AlgoIGMatch, AlgoMultilevel, AlgoKWay, AlgoKWaySpectral, AlgoPortfolio}
+	e := New(Config{Workers: 1})
+	f.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		e.Shutdown(ctx)
+	})
+	f.Add(uint8(0), uint8(4), []byte{0x03, 0x06, 0x0c}, uint8(2), int64(0))
+	f.Add(uint8(1), uint8(2), []byte{0x03, 0x03}, uint8(0), int64(5))
+	f.Add(uint8(2), uint8(8), []byte{0xff}, uint8(3), int64(-1))
+	f.Add(uint8(3), uint8(5), []byte{0x11, 0x00, 0x1e}, uint8(5), int64(2))
+	f.Add(uint8(4), uint8(1), []byte{0x01, 0x01}, uint8(0), int64(7))
+	f.Fuzz(func(t *testing.T, algo, modules uint8, nets []byte, k uint8, seed int64) {
+		n := int(modules % 9)
+		b := igpart.NewBuilder().SetNumModules(n)
+		for i, mask := range nets {
+			if i == 8 {
+				break
+			}
+			var pins []int
+			for v := 0; v < n; v++ {
+				if mask&(1<<v) != 0 {
+					pins = append(pins, v)
+				}
+			}
+			b.AddNet(pins...)
+		}
+		o := Options{Algo: algos[int(algo)%len(algos)], Seed: seed}
+		if kwayAlgo(o.Algo) {
+			o.K = int(k)
+		}
+		job, err := e.Submit(Request{Netlist: b.Build(), Options: o})
+		if err != nil {
+			if !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("%s: rejection not typed ErrBadRequest: %v", o.Algo, err)
+			}
+			return
+		}
+		s := job.Wait(context.Background())
+		if s.State != jobreg.StateDone && !errors.Is(s.Err, core.ErrNoProperCompletion) {
+			t.Fatalf("%s on %d modules, nets %x: state %s, err %v", o.Algo, n, nets, s.State, s.Err)
 		}
 	})
 }

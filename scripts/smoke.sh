@@ -67,12 +67,12 @@ printf '%s' "$resp" | grep -q '"service.jobs_completed":1' || \
 say "sending SIGTERM"
 stop_daemon "$daemon_pid" "$workdir/igpartd.log"
 
-# Phase 2: chaos. Reboot with one worker panic armed and retries off;
-# the first job must fail with a recovered panic while the daemon stays
-# up and completes the next, clean job.
+# Phase 2: chaos. Reboot with one worker panic armed; the first job must
+# fail with a recovered panic while the daemon stays up and completes
+# the next, clean job.
 say "restarting igpartd with worker.panic injection"
 boot_daemon "$workdir/igpartd-chaos.log" -data "$workdir/data" \
-    -inject 'worker.panic:limit=1' -retry=-1
+    -inject 'worker.panic:limit=1'
 say "chaos daemon up at $addr"
 
 fetch POST /v1/jobs '{"path": "bm1.hgr"}'
