@@ -57,7 +57,7 @@ chaos:
 	$(GO) test -race ./internal/core -run 'Panic|SlowShard|FaultThreaded'
 	$(GO) test -race ./internal/eigen -run 'Fallback|NoConverge|Rung|NonFinite'
 	$(GO) test -race ./internal/service -run 'Chaos|Health|Validate|ShutdownRacingCancel'
-	$(GO) test -race ./internal/cluster -run 'Failover|Dead|JournalRecovery|Backpressure|Lease|Standby|Membership|Backends|Crash|Probe|JournalFailure'
+	$(GO) test -race ./internal/cluster -run 'Failover|Dead|JournalRecovery|Backpressure|Lease|Standby|Membership|Backends|Crash|Probe|JournalFailure|Backoff|Jitter'
 	$(GO) test -race ./cmd/igpartd -run 'Readyz|Liveness|IOReadErr|BadRequest|ClusterChaos|ClusterCoordinatorRestart|Standby|SwitchHandler|JournalFailure'
 
 # CI bench sanity: rerun the suite workload and fail on any ratio-cut

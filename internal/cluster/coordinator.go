@@ -60,7 +60,7 @@ type Config struct {
 	ProbeInterval time.Duration
 	// RetryBaseDelay and RetryMaxDelay shape the capped exponential
 	// backoff between failover hops (defaults 100ms and 2s), computed
-	// by fault.BackoffDelay.
+	// by backoffDelay.
 	RetryBaseDelay time.Duration
 	RetryMaxDelay  time.Duration
 	// MinDwell is the flapping guard for dynamic membership: a backend
@@ -613,7 +613,7 @@ func (c *Coordinator) run(j *Job) {
 	}
 	ctx := j.Context()
 	order := c.Ring().Route(j.key)
-	seed := fault.JitterSeed(j.ID())
+	seed := jitterSeed(j.ID())
 	var lastErr error
 	budget := c.attemptBudget()
 	for attempt := 1; attempt <= budget; attempt++ {
@@ -624,7 +624,7 @@ func (c *Coordinator) run(j *Job) {
 		if attempt > 1 {
 			c.reg.Counter("cluster.failover.resubmits").Add(1)
 			j.Update(func() { j.resubmits++ })
-			if sleepCtx(ctx, fault.BackoffDelay(attempt-1, c.cfg.RetryBaseDelay, c.cfg.RetryMaxDelay, seed)) != nil {
+			if sleepCtx(ctx, backoffDelay(attempt-1, c.cfg.RetryBaseDelay, c.cfg.RetryMaxDelay, seed)) != nil {
 				c.finishAborted(j)
 				return
 			}

@@ -1,9 +1,9 @@
 package hypergraph
 
 import (
+	"cmp"
 	"encoding/binary"
 	"slices"
-	"sort"
 )
 
 // The magic strings version the two encodings; bump one whenever its
@@ -31,16 +31,31 @@ const (
 // module partitions only. Net-indexed outputs — IGMatchResult.NetOrder
 // and the BestRank split that cuts it — and net-indexed inputs such as
 // an ECO delta's net references refer to the caller's net numbering;
-// anything keyed on them must use NumberedBytes.
+// anything keyed on them must use NumberedBytes, or translate them
+// through CanonicalOrder.
 func (h *Hypergraph) CanonicalBytes() []byte {
+	return h.encode(canonicalMagic, h.CanonicalOrder())
+}
+
+// CanonicalOrder returns the net order CanonicalBytes writes: order[c]
+// is the net at canonical position c. Nets sort by their pin slices and
+// nets with equal pins by index, so a net's canonical position depends
+// only on the netlist. Two netlists with equal CanonicalBytes hold nets
+// with equal pins at every canonical position, which lets a net-indexed
+// value computed on one carry over to the other: internal/service keeps
+// result net orderings in canonical positions for that reason.
+func (h *Hypergraph) CanonicalOrder() []int {
 	order := make([]int, len(h.pins))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return slices.Compare(h.pins[order[a]], h.pins[order[b]]) < 0
+	slices.SortFunc(order, func(a, b int) int {
+		if c := slices.Compare(h.pins[a], h.pins[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
-	return h.encode(canonicalMagic, order)
+	return order
 }
 
 // NumberedBytes is CanonicalBytes without the net sort: the same fields

@@ -126,3 +126,27 @@ func TestNumberedBytes(t *testing.T) {
 		t.Fatal("net reordering left the numbered bytes unchanged")
 	}
 }
+
+// TestCanonicalOrder checks the order CanonicalBytes writes: nets by
+// pin slice, nets with equal pins by index, and a net-reordered twin
+// holding equal pins at every canonical position.
+func TestCanonicalOrder(t *testing.T) {
+	nets := [][]int{{2, 3}, {0, 6}, {1, 4, 5, 6}, {2, 3}, {0, 1, 2}, {5, 7, 8}}
+	b := NewBuilder().SetNumModules(9)
+	for _, pins := range nets {
+		b.AddNet(pins...)
+	}
+	h := b.Build()
+	if got, want := h.CanonicalOrder(), []int{4, 1, 2, 0, 3, 5}; !slices.Equal(got, want) {
+		t.Fatalf("CanonicalOrder = %v, want %v", got, want)
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		twin := buildPermuted(t, nets, 9, rand.New(rand.NewSource(seed)))
+		a, b := h.CanonicalOrder(), twin.CanonicalOrder()
+		for c := range a {
+			if !slices.Equal(h.Pins(a[c]), twin.Pins(b[c])) {
+				t.Fatalf("seed %d: canonical position %d holds %v and %v", seed, c, h.Pins(a[c]), twin.Pins(b[c]))
+			}
+		}
+	}
+}

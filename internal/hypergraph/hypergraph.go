@@ -16,6 +16,7 @@ package hypergraph
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -96,6 +97,26 @@ func (h *Hypergraph) TotalWeight() int {
 
 // Weighted reports whether explicit module areas were supplied.
 func (h *Hypergraph) Weighted() bool { return h.weights != nil }
+
+// SizeBytes estimates the heap the netlist occupies, from its module,
+// net, pin and name counts: both index directions with their slice
+// headers, the module weights, and the names with their string headers.
+// internal/service budgets the netlists it keeps by it.
+func (h *Hypergraph) SizeBytes() int {
+	const (
+		word         = bits.UintSize / 8
+		sliceHeader  = 3 * word
+		stringHeader = 2 * word
+	)
+	n := 2*h.numPins*word + (len(h.pins)+len(h.incident))*sliceHeader + len(h.weights)*word
+	for _, names := range [][]string{h.moduleNames, h.netNames} {
+		n += len(names) * stringHeader
+		for _, s := range names {
+			n += len(s)
+		}
+	}
+	return n
+}
 
 // Clone returns a deep copy of the hypergraph.
 func (h *Hypergraph) Clone() *Hypergraph {

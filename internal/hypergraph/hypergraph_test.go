@@ -3,6 +3,7 @@ package hypergraph
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -378,5 +379,39 @@ func TestContractNetsErrors(t *testing.T) {
 	}
 	if _, err := ContractNets(h, []int{0, 0}, 2); err == nil {
 		t.Error("empty coarse net accepted")
+	}
+}
+
+// TestSizeBytesTracksHeap holds SizeBytes to the live heap a built
+// netlist occupies, within the rounding of allocation size classes, and
+// checks that names count.
+func TestSizeBytesTracksHeap(t *testing.T) {
+	live := func() int {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int(ms.HeapAlloc)
+	}
+	rng := rand.New(rand.NewSource(5))
+	b := NewBuilder().SetNumModules(4000)
+	for e := 0; e < 6000; e++ {
+		pins := make([]int, 2+rng.Intn(5))
+		for i := range pins {
+			pins[i] = rng.Intn(4000)
+		}
+		b.AddNet(pins...)
+	}
+	before := live()
+	h := b.Build()
+	heap := live() - before
+	runtime.KeepAlive(b)
+	got := h.SizeBytes()
+	t.Logf("SizeBytes %d, live heap %d (%.2f)", got, heap, float64(got)/float64(heap))
+	if float64(got) < 0.7*float64(heap) || float64(got) > 1.3*float64(heap) {
+		t.Fatalf("SizeBytes = %d, the netlist holds %d bytes of heap", got, heap)
+	}
+	b.NameModule(0, "alu")
+	if named := b.Build().SizeBytes(); named <= got {
+		t.Fatalf("a named netlist sizes at %d bytes, the unnamed one at %d", named, got)
 	}
 }

@@ -47,7 +47,14 @@ func newLRU(capacity int, reg *obs.Registry, inj *fault.Injector) *lru {
 }
 
 // get returns the cached result for key, counting the hit or miss.
-func (c *lru) get(key string) (*Result, bool) {
+func (c *lru) get(key string) (*Result, bool) { return c.lookup(key, true) }
+
+// filled looks key up again for a job whose miss get counted at intake:
+// it counts a hit, which an identical job filled in the meantime, but
+// no second miss.
+func (c *lru) filled(key string) (*Result, bool) { return c.lookup(key, false) }
+
+func (c *lru) lookup(key string, countMiss bool) (*Result, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -55,7 +62,9 @@ func (c *lru) get(key string) (*Result, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
-		c.reg.Counter("service.cache_misses").Add(1)
+		if countMiss {
+			c.reg.Counter("service.cache_misses").Add(1)
+		}
 		return nil, false
 	}
 	c.order.MoveToFront(el)

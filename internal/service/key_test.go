@@ -162,7 +162,7 @@ func TestDeltaCacheKeyEquivalence(t *testing.T) {
 	for f, fam := range families {
 		for _, delta := range fam {
 			for _, o := range grid {
-				jobs = append(jobs, job{f, o, deltaCacheKey(h, delta, o)})
+				jobs = append(jobs, job{f, o, deltaCacheKey(netKey(h), delta, o)})
 			}
 		}
 	}

@@ -81,15 +81,16 @@ type Request struct {
 	Netlist *igpart.Netlist
 	Options Options
 	// warm is set by SubmitDelta, and only there: it makes the request
-	// an ECO delta job, whose Netlist is the applied netlist and whose
-	// IG-Match solve warm-starts from warm.
+	// an ECO delta job, which has no Netlist until its IG-Match solve
+	// applies the delta and warm-starts from warm.
 	warm *warmSpec
 }
 
 // warmSpec is what an ECO delta job warm-starts from: the base netlist,
-// the base result's net ordering and winning rank, and the delta.
+// the base result's net ordering in canonical numbering and its winning
+// rank, and the delta.
 type warmSpec struct {
-	base  *igpart.Netlist
+	base  *stored
 	order []int
 	rank  int
 	delta igpart.NetlistDelta
@@ -275,36 +276,27 @@ func (o Options) normalize() (Options, error) {
 	return n, nil
 }
 
-// key content-addresses the request for the result cache: an ECO delta
-// job by its base, delta and options, any other job by its netlist and
-// options.
-func (r Request) key() string {
-	if r.warm != nil {
-		return deltaCacheKey(r.warm.base, r.warm.delta, r.Options)
-	}
-	return cacheKey(r.Netlist, r.Options)
-}
-
-// cacheKey content-addresses a job by its canonicalized netlist and its
-// normalized options. o must already be normalized.
+// cacheKey content-addresses a cold job by its canonicalized netlist
+// and its normalized options. o must already be normalized.
 func cacheKey(h *igpart.Netlist, o Options) string {
 	return contentKey(h.CanonicalBytes(), "", o)
 }
 
-// deltaCacheKey content-addresses an ECO delta job by the base netlist
-// as numbered, the delta's canonical encoding and the normalized
-// options. The base enters with its own net numbering because the delta
-// names nets by index: one delta against two orderings of the same nets
-// removes different nets. Keying on (base, delta) rather than the
-// applied netlist means a re-submitted identical ECO hits without
-// re-applying, and equivalent deltas (same edits, different list order)
-// share an entry via Canonical's sorted encoding.
-func deltaCacheKey(base *igpart.Netlist, d igpart.NetlistDelta, o Options) string {
-	return contentKey(base.NumberedBytes(), d.Canonical(), o)
+// deltaCacheKey content-addresses an ECO delta job by its base's store
+// key, the delta's canonical encoding and the normalized options. The
+// store key hashes the base as numbered, because the delta names nets
+// by index: one delta against two orderings of the same nets removes
+// different nets. Keying on (base, delta) rather than the applied
+// netlist means a re-submitted identical ECO hits without applying,
+// and equivalent deltas (same edits, different list order) share an
+// entry via Canonical's sorted encoding.
+func deltaCacheKey(base string, d igpart.NetlistDelta, o Options) string {
+	return contentKey([]byte(base), d.Canonical(), o)
 }
 
-// contentKey is the one key encoder: SHA-256 over a netlist encoding, a
-// delta's canonical encoding ("" for a cold job) and every field of the
+// contentKey is the one key encoder: SHA-256 over the netlist (its
+// canonical encoding, or a delta job's base store key), a delta's
+// canonical encoding ("" for a cold job) and every field of the
 // normalized options but Parallelism and Timeout, which never change a
 // result. normalize zeroes what an algorithm does not read, so no field
 // needs a per-algorithm branch here.

@@ -13,7 +13,9 @@
 #   5. re-PATCH the identical delta and require a cache hit;
 #   6. PATCH garbage and out-of-range deltas and require 400, a delta
 #      against an unknown job and require 404;
-#   7. SIGTERM the daemon and require a clean exit.
+#   7. require the netlist store's metrics in /metrics, its byte gauge
+#      within the store's budget;
+#   8. SIGTERM the daemon and require a clean exit.
 #
 # Requires only the Go toolchain and POSIX sh + curl + grep + sed.
 set -eu
@@ -95,6 +97,15 @@ fetch PATCH /v1/jobs/job-nope "$delta"
 fetch GET /metrics
 printf '%s' "$resp" | grep -q '"portfolio.warm_start":' || \
     die "metrics missing warm-start counter: $resp"
+printf '%s' "$resp" | grep -q '"service.netlist_evictions":' || \
+    die "metrics missing the netlist store's eviction counter: $resp"
+# The base and the warm job's netlist are kept, within the store's
+# 32 MiB budget (netlistBudget in internal/service/store.go).
+kept=$(printf '%s' "$resp" | sed -n 's/.*"service\.netlist_bytes":\([0-9]*\)[,}].*/\1/p')
+[ -n "$kept" ] || die "metrics missing the netlist store's byte gauge: $resp"
+[ "$kept" -gt 0 ] && [ "$kept" -le 33554432 ] || \
+    die "netlist store keeps $kept bytes, want 1..33554432"
+say "netlist store keeps $kept bytes"
 
 say "sending SIGTERM"
 stop_daemon "$daemon_pid" "$workdir/igpartd.log"
