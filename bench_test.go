@@ -254,6 +254,26 @@ func BenchmarkSweepPrim2(b *testing.B) {
 	}
 }
 
+// The candidate sweep over the full-size Prim2 Fiedler order at P=1, on
+// both sides of the walk bound: 8 candidates bootstrap a Hopcroft–Karp
+// matching at every one, 32 bootstrap once and walk the gaps between.
+func BenchmarkCandidateSweepPrim2(b *testing.B) {
+	h := prim2(b, 1.0)
+	res, err := core.Partition(h, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []int{8, 32} {
+		b.Run(fmt.Sprintf("candidates=%d", c), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := core.PartitionCandidatesWithOrder(h, res.NetOrder, c, core.Options{Parallelism: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // P-scaling — the sharded sweep engine at P=1 (serial) vs P=NumCPU on the
 // full-size Prim2 circuit. Both produce bit-identical results; the sub-
 // benchmark ratio is the sweep speedup the Parallelism knob buys on this

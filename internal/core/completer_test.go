@@ -34,46 +34,58 @@ func sameState(a, b *completer) string {
 	return ""
 }
 
-// checkSweepState walks every split of order with one incrementally
-// advanced completer and, at each split, checks it against a fresh
-// O(pins) build and the split's completion against an independent one:
+// checkSweepState walks order with one incrementally advanced completer,
+// one net at a time and then in strides of 2–9 nets with one advance per
+// stride, as the sweep walks a short gap between candidates. At every
+// visited split it checks the kept state and the score against a fresh
+// O(pins) build, and the split's completion against an independent one:
 // completeBulk (scored with partition.Evaluate) on the unconstrained path,
 // and partition.Evaluate of the materialized completion on the
 // constrained one.
 func checkSweepState(t *testing.T, label string, h *hypergraph.Hypergraph, order []int, cons *constraints) {
 	t.Helper()
 	adj := IGAdjacency(h)
-	matcher := bipartite.NewMatcher(adj)
-	inc := newCompleter(h, cons)
 	fresh := newCompleter(h, cons)
 	sides := make([]partition.Side, h.NumModules())
-	for rank := 1; rank < len(order); rank++ {
-		matcher.MoveToR(order[rank-1])
-		matcher.Classify()
-		if rank == 1 {
-			inc.build(matcher)
-		} else {
-			inc.advance(matcher, order[rank-1])
-		}
-		fresh.build(matcher)
-		if diff := sameState(inc, fresh); diff != "" {
-			t.Fatalf("%s rank %d: incremental state differs from a fresh build: %s", label, rank, diff)
-		}
-		met, vnSide, ok := inc.score()
-		if cons == nil {
-			want, wantPart, wantOK := completeBulk(h, matcher.Winners(), sides)
-			if ok != wantOK || (ok && met != want) {
-				t.Fatalf("%s rank %d: evaluate %+v (ok=%v), completeBulk %+v (ok=%v)",
-					label, rank, met, ok, want, wantOK)
+	for stride := 1; stride <= 9; stride++ {
+		matcher := bipartite.NewMatcher(adj)
+		inc := newCompleter(h, cons)
+		for prev, rank := 0, stride; rank < len(order); prev, rank = rank, rank+stride {
+			moved := order[prev:rank]
+			for _, e := range moved {
+				matcher.MoveToR(e)
 			}
-			if ok && !samePartition(inc.materializeBest(vnSide), wantPart) {
-				t.Fatalf("%s rank %d: materialized completion differs from completeBulk's", label, rank)
+			matcher.Classify()
+			if prev == 0 {
+				inc.build(matcher)
+			} else {
+				inc.advance(matcher, moved)
 			}
-			continue
-		}
-		if ok {
-			if got := partition.Evaluate(h, inc.materializeBest(vnSide)); got != met {
-				t.Fatalf("%s rank %d: constrained score %+v, its completion evaluates to %+v", label, rank, met, got)
+			fresh.build(matcher)
+			at := fmt.Sprintf("%s stride %d rank %d", label, stride, rank)
+			if diff := sameState(inc, fresh); diff != "" {
+				t.Fatalf("%s: incremental state differs from a fresh build: %s", at, diff)
+			}
+			met, vnSide, ok := inc.score()
+			// An infeasible split leaves the side unset.
+			if fmet, fside, fok := fresh.score(); ok != fok || (ok && (met != fmet || vnSide != fside)) {
+				t.Fatalf("%s: score %+v side %v (ok=%v), a fresh build scores %+v side %v (ok=%v)",
+					at, met, vnSide, ok, fmet, fside, fok)
+			}
+			if cons == nil {
+				want, wantPart, wantOK := completeBulk(h, matcher.Winners(), sides)
+				if ok != wantOK || (ok && met != want) {
+					t.Fatalf("%s: evaluate %+v (ok=%v), completeBulk %+v (ok=%v)", at, met, ok, want, wantOK)
+				}
+				if ok && !samePartition(inc.materializeBest(vnSide), wantPart) {
+					t.Fatalf("%s: materialized completion differs from completeBulk's", at)
+				}
+				continue
+			}
+			if ok {
+				if got := partition.Evaluate(h, inc.materializeBest(vnSide)); got != met {
+					t.Fatalf("%s: constrained score %+v, its completion evaluates to %+v", at, met, got)
+				}
 			}
 		}
 	}
@@ -89,7 +101,8 @@ func samePartition(a, b *partition.Bipartition) bool {
 }
 
 // TestCompleterIncrementalEqualsBuild checks the kept Phase II state at
-// every split of the randomCircuit seeds, under a random net order, with
+// every split of the randomCircuit seeds, and at every split a stride of
+// 2–9 nets visits, under a random net order, with
 // and without FixedSides (the pinned runs also carry a tight balance
 // window, so the affinity-ordered balanced completion runs too).
 func TestCompleterIncrementalEqualsBuild(t *testing.T) {

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"igpart/internal/hypergraph"
+	"igpart/internal/obs"
+	"igpart/internal/par"
 	"igpart/internal/partition"
 )
 
@@ -98,35 +102,9 @@ func FuzzSweep(f *testing.F) {
 		for _, p := range []int{1, 3} {
 			var cands []SplitRecord
 			res, err := PartitionCandidatesWithOrder(h, order, int(budget), Options{Parallelism: p, Trace: &cands})
-			if len(cands) == 0 {
-				t.Fatalf("P=%d budget %d: no candidate record", p, budget)
-			}
-			var best *SplitRecord
-			for i := range cands {
-				rec := &cands[i]
-				if i > 0 && rec.Rank <= cands[i-1].Rank {
-					t.Fatalf("P=%d budget %d: candidate ranks %d, %d not ascending", p, budget, cands[i-1].Rank, rec.Rank)
-				}
-				if !sameRecord(*rec, serial[rec.Rank-1]) {
-					t.Fatalf("P=%d budget %d: candidate record %+v, full sweep has %+v", p, budget, *rec, serial[rec.Rank-1])
-				}
-				if rec.CutNets >= 0 && (best == nil || better(recMetrics(*rec), recMetrics(*best))) {
-					best = rec
-				}
-			}
-			if best == nil {
-				if err == nil {
-					t.Fatalf("P=%d budget %d: no candidate record is feasible, yet the run returned rank %d", p, budget, res.BestRank)
-				}
+			label := fmt.Sprintf("P=%d budget %d", p, budget)
+			if !checkCandidateRun(t, label, cands, res, err, serial) {
 				continue
-			}
-			if err != nil {
-				t.Fatalf("P=%d budget %d: best candidate %+v, yet the run failed: %v", p, budget, *best, err)
-			}
-			if res.BestRank != best.Rank || res.BestMatching != best.MatchingSize ||
-				res.Metrics.CutNets != best.CutNets || res.Metrics.RatioCut != best.RatioCut {
-				t.Fatalf("P=%d budget %d: winner rank %d (matching %d, %+v), lowest-rank best record %+v",
-					p, budget, res.BestRank, res.BestMatching, res.Metrics, *best)
 			}
 			if p == 1 {
 				serialCand = res
@@ -135,6 +113,111 @@ func FuzzSweep(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCandidateGapWalk runs the candidate sweep on both sides of the
+// walk bound, which FuzzSweep's netlists of at most 16 nets never reach:
+// over the randomCircuit seeds (140–290 nets) under a random net order,
+// budgets from 4, whose gaps bootstrap, to 64, whose gaps are walked,
+// unconstrained and under a balance window, at P=1 and P=3. Every
+// candidate record must equal the full sweep's at its rank, the winner
+// must be the lowest-rank best record, both parallelisms must agree, and
+// each shard bootstraps at its first rank and after each gap longer than
+// m/walkRatio, and nowhere else.
+func TestCandidateGapWalk(t *testing.T) {
+	var walked, booted int // gaps of two or more ranks walked and bootstrapped
+	for seed := int64(0); seed < 7; seed++ {
+		h := randomCircuit(t, seed)
+		m, n := h.NumNets(), h.NumModules()
+		order := rand.New(rand.NewSource(seed)).Perm(m)
+		for _, bal := range []*Balance{nil, {MinU: n / 3, MaxU: 2 * n / 3}} {
+			var full []SplitRecord
+			// A run without a feasible split fails but still traces.
+			_, _ = PartitionWithOrder(h, order, Options{Parallelism: 1, Balance: bal, Trace: &full})
+			for _, budget := range []int{4, 8, 16, 24, 40, 64} {
+				var serial Result
+				for _, p := range []int{1, 3} {
+					label := fmt.Sprintf("seed %d balance %v budget %d P=%d", seed, bal != nil, budget, p)
+					var cands []SplitRecord
+					tr := obs.NewTrace("candidates")
+					res, err := PartitionCandidatesWithOrder(h, order, budget,
+						Options{Parallelism: p, Balance: bal, Trace: &cands, Rec: tr})
+					if checkCandidateRun(t, label, cands, res, err, full) {
+						if p == 1 {
+							serial = res
+						} else if !samePartition(res.Partition, serial.Partition) {
+							t.Fatalf("%s: partition differs from P=1's", label)
+						}
+					}
+					want := int64(0)
+					for _, b := range par.Bounds(min(p, len(cands)), len(cands)) {
+						want++
+						for i := b[0] + 1; i < b[1]; i++ {
+							switch gap := cands[i].Rank - cands[i-1].Rank; {
+							case walkRatio*gap > m:
+								want++
+								booted++
+							case gap > 1:
+								walked++
+							}
+						}
+					}
+					if got := tr.Metrics().Snapshot().Counters["sweep.bootstraps"]; got != want {
+						t.Fatalf("%s: %d bootstraps, want %d", label, got, want)
+					}
+				}
+			}
+		}
+	}
+	if walked == 0 || booted == 0 {
+		t.Fatalf("%d gaps walked and %d bootstrapped: the budgets miss a side of the bound", walked, booted)
+	}
+}
+
+// checkCandidateRun checks a candidate sweep's records cands and its
+// outcome (res, err) against full, the trace of the full sweep over the
+// same order and options: the candidate ranks ascend, each record equals
+// the full sweep's at that rank, and the run returns the lowest-rank best
+// record — or fails when none of them is feasible. It reports whether the
+// run has a winner.
+func checkCandidateRun(t testing.TB, label string, cands []SplitRecord, res Result, err error, full []SplitRecord) bool {
+	t.Helper()
+	if len(cands) == 0 {
+		t.Fatalf("%s: no candidate record", label)
+	}
+	var best *SplitRecord
+	for i := range cands {
+		rec := &cands[i]
+		if i > 0 && rec.Rank <= cands[i-1].Rank {
+			t.Fatalf("%s: candidate ranks %d, %d not ascending", label, cands[i-1].Rank, rec.Rank)
+		}
+		j := rec.Rank - full[0].Rank
+		if j < 0 || j >= len(full) {
+			t.Fatalf("%s: candidate rank %d outside the full sweep's ranks [%d,%d]",
+				label, rec.Rank, full[0].Rank, full[len(full)-1].Rank)
+		}
+		if !sameRecord(*rec, full[j]) {
+			t.Fatalf("%s: candidate record %+v, full sweep has %+v", label, *rec, full[j])
+		}
+		if rec.CutNets >= 0 && (best == nil || better(recMetrics(*rec), recMetrics(*best))) {
+			best = rec
+		}
+	}
+	if best == nil {
+		if err == nil {
+			t.Fatalf("%s: no candidate record is feasible, yet the run returned rank %d", label, res.BestRank)
+		}
+		return false
+	}
+	if err != nil {
+		t.Fatalf("%s: best candidate %+v, yet the run failed: %v", label, *best, err)
+	}
+	if res.BestRank != best.Rank || res.BestMatching != best.MatchingSize ||
+		res.Metrics.CutNets != best.CutNets || res.Metrics.RatioCut != best.RatioCut {
+		t.Fatalf("%s: winner rank %d (matching %d, %+v), lowest-rank best record %+v",
+			label, res.BestRank, res.BestMatching, res.Metrics, *best)
+	}
+	return true
 }
 
 // recMetrics views a feasible split record as the metrics better ranks.

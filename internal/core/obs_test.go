@@ -82,6 +82,7 @@ func TestObsCountersMatchGroundTruth(t *testing.T) {
 		}
 		for _, c := range []struct{ span, reg string }{
 			{"augmentations", "sweep.augmentations"},
+			{"bootstraps", "sweep.bootstraps"},
 			{"phase1-winners", "sweep.phase1_winners"},
 			{"phase1-scanned", "sweep.phase1_scanned"},
 			{"reclassified", "sweep.reclassified"},
@@ -113,6 +114,10 @@ func TestObsCountersMatchGroundTruth(t *testing.T) {
 		}
 		if p == 1 && shards != 1 {
 			t.Errorf("serial sweep produced %d shard spans", shards)
+		}
+		// A full sweep walks every rank after a shard's first.
+		if got := sweep.Sum("bootstraps"); got != int64(shards) {
+			t.Errorf("p=%d: %d bootstraps over %d shards", p, got, shards)
 		}
 		// Gauges mirror the result.
 		if got := snap.Gauges["sweep.best_rank"]; got != float64(res.BestRank) {

@@ -2,16 +2,17 @@
 // into P contiguous shards; each worker walks its shard with a private
 // incremental matcher, bootstrapped by a from-scratch Hopcroft–Karp
 // build (bipartite.NewMatcherAt) at the shard boundary and again after
-// any gap between ranks. Because the Even/Odd/Core classification is
-// canonical over maximum matchings (Dulmage–Mendelsohn), every shard
-// sees exactly the per-split state the serial sweep would, and the
-// lowest-rank-wins reduction in sweep() makes the combined result
-// bit-identical to the serial engine for any P. The full, windowed and
-// candidate sweeps all run through this one engine.
+// any gap longer than m/16 between ranks. Because the Even/Odd/Core
+// classification is canonical over maximum matchings
+// (Dulmage–Mendelsohn), every shard sees exactly the per-split state the
+// serial sweep would, and the lowest-rank-wins reduction in sweep()
+// makes the combined result bit-identical to the serial engine for any
+// P. The full, windowed and candidate sweeps all run through this one
+// engine.
 //
 // Cost: each bootstrap is a Hopcroft–Karp build in O(e·√m) plus one
 // O(pins) completer build, so the extra work of a contiguous sweep over
-// serial is P of each, and a candidate sweep pays one per gap. The
+// serial is P of each, and a candidate sweep pays one per long gap. The
 // output-sensitive sweep itself costs far less than its O(m·(m+e)) worst
 // case (Theorem 6), so on paper-size circuits the bootstrap is a visible
 // share of a shard, and the shards are embarrassingly parallel.

@@ -4,14 +4,18 @@
 // eigensolve should dominate, not the sweep. PartitionCandidates keeps
 // the spectral pipeline intact and completes only a bounded set of
 // evenly spaced candidate splits. The candidates run through the same
-// shard walker as the full sweep: a candidate after a gap is
-// bootstrapped with its own from-scratch Hopcroft–Karp matching
-// (bipartite.NewMatcherAt), and a run of adjacent candidates — a budget
-// that covers its whole window — advances one move at a time. Because
-// the Even/Odd/Core classification is canonical over maximum matchings,
-// every candidate sees exactly the per-split state the serial sweep
-// would at that rank, so each completion carries the Theorem 5 cut
-// bound; only the splits in between go unexplored.
+// shard walker as the full sweep, which carries one matcher and one
+// completer across the gaps: a candidate at most m/16 ranks past the
+// previous one is reached by moving the nets in between (MoveToR), one
+// Classify and one completer advance, so the default 32 candidates cost
+// one Hopcroft–Karp bootstrap per shard. A candidate after a longer
+// gap, as with 16 or fewer spread over the whole ordering, is
+// bootstrapped with its own from-scratch matching
+// (bipartite.NewMatcherAt). Because the Even/Odd/Core classification is
+// canonical over maximum matchings, every candidate sees exactly the
+// per-split state the serial sweep would at that rank, so each
+// completion carries the Theorem 5 cut bound; only the splits in
+// between go unscored.
 package core
 
 import (
@@ -42,7 +46,10 @@ func PartitionCandidates(h *hypergraph.Hypergraph, candidates int, opts Options)
 // PartitionWithOrder. Warm starts use it as a cheap global probe: a
 // dense window around the previous best rank can miss an optimum the
 // perturbation relocated, and a few dozen spaced completions over the
-// whole ordering catch that at O(candidates·(m+e)) cost.
+// whole ordering catch that. At the default 32 candidates the probe
+// walks the ordering once, one matching repair per net and one
+// completion per candidate, after a single Hopcroft–Karp bootstrap per
+// shard.
 func PartitionCandidatesWithOrder(h *hypergraph.Hypergraph, order []int, candidates int, opts Options) (Result, error) {
 	return sweep(h, order, candidateBudget(candidates), opts)
 }

@@ -107,10 +107,11 @@ func WarmStart(base *hypergraph.Hypergraph, baseOrder []int, baseBestRank int, d
 	// The dense window assumes the optimum stayed near the carried-over
 	// rank; a perturbation can relocate it. A sparse global probe —
 	// a few dozen evenly spaced completions over the whole ordering —
-	// catches that at a cost independent of the window. Strict
-	// improvement only: on an unchanged instance the windowed winner is
-	// the global optimum, so a probe can at best tie and the result
-	// stays bit-identical.
+	// catches that at a cost independent of the window: one matching
+	// bootstrap per sweep shard, one matching repair per net walked and
+	// one completion per candidate. Strict improvement only: on an
+	// unchanged instance the windowed winner is the global optimum, so a
+	// probe can at best tie and the result stays bit-identical.
 	probeOpts := opts.Core
 	probeOpts.SweepLo, probeOpts.SweepHi = 0, 0
 	if probe, perr := core.PartitionCandidatesWithOrder(h, order, 0, probeOpts); perr == nil &&
