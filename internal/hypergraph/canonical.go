@@ -34,7 +34,16 @@ const (
 // anything keyed on them must use NumberedBytes, or translate them
 // through CanonicalOrder.
 func (h *Hypergraph) CanonicalBytes() []byte {
-	return h.encode(canonicalMagic, h.CanonicalOrder())
+	_, enc := h.Canonical()
+	return enc
+}
+
+// Canonical returns CanonicalOrder and CanonicalBytes from one sort of
+// the nets, for a caller that keys the netlist on its bytes and keeps
+// its canonical order too.
+func (h *Hypergraph) Canonical() (order []int, enc []byte) {
+	order = h.CanonicalOrder()
+	return order, h.encode(canonicalMagic, order)
 }
 
 // CanonicalOrder returns the net order CanonicalBytes writes: order[c]

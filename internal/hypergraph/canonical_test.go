@@ -128,8 +128,9 @@ func TestNumberedBytes(t *testing.T) {
 }
 
 // TestCanonicalOrder checks the order CanonicalBytes writes: nets by
-// pin slice, nets with equal pins by index, and a net-reordered twin
-// holding equal pins at every canonical position.
+// pin slice, nets with equal pins by index, Canonical returning the
+// same order and bytes, and a net-reordered twin holding equal pins at
+// every canonical position.
 func TestCanonicalOrder(t *testing.T) {
 	nets := [][]int{{2, 3}, {0, 6}, {1, 4, 5, 6}, {2, 3}, {0, 1, 2}, {5, 7, 8}}
 	b := NewBuilder().SetNumModules(9)
@@ -139,6 +140,9 @@ func TestCanonicalOrder(t *testing.T) {
 	h := b.Build()
 	if got, want := h.CanonicalOrder(), []int{4, 1, 2, 0, 3, 5}; !slices.Equal(got, want) {
 		t.Fatalf("CanonicalOrder = %v, want %v", got, want)
+	}
+	if order, enc := h.Canonical(); !slices.Equal(order, h.CanonicalOrder()) || !bytes.Equal(enc, h.CanonicalBytes()) {
+		t.Fatalf("Canonical = %v and its bytes, want CanonicalOrder and CanonicalBytes", order)
 	}
 	for seed := int64(1); seed <= 20; seed++ {
 		twin := buildPermuted(t, nets, 9, rand.New(rand.NewSource(seed)))

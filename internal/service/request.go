@@ -84,6 +84,10 @@ type Request struct {
 	// an ECO delta job, which has no Netlist until its IG-Match solve
 	// applies the delta and warm-starts from warm.
 	warm *warmSpec
+	// canon is Netlist's canonical net order, set by Submit: it sorts
+	// the nets once, for the cache key, and the netlist store keeps
+	// that order instead of sorting them again.
+	canon []int
 }
 
 // warmSpec is what an ECO delta job warm-starts from: the base netlist,
@@ -279,7 +283,15 @@ func (o Options) normalize() (Options, error) {
 // cacheKey content-addresses a cold job by its canonicalized netlist
 // and its normalized options. o must already be normalized.
 func cacheKey(h *igpart.Netlist, o Options) string {
-	return contentKey(h.CanonicalBytes(), "", o)
+	key, _ := coldKey(h, o)
+	return key
+}
+
+// coldKey is cacheKey that also returns the canonical net order it
+// sorted for the key, which Submit hands on to the netlist store.
+func coldKey(h *igpart.Netlist, o Options) (string, []int) {
+	canon, enc := h.Canonical()
+	return contentKey(enc, "", o), canon
 }
 
 // deltaCacheKey content-addresses an ECO delta job by its base's store

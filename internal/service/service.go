@@ -158,10 +158,13 @@ type Result struct {
 	Stages obs.Stage
 
 	// h is the netlist a fresh result partitions, set by solve when the
-	// result carries a NetOrder. publish moves it into the netlist store
-	// before the result is shared, leaving net, its store key.
-	h   *igpart.Netlist
-	net string
+	// result carries a NetOrder, and canon its canonical net order when
+	// intake sorted one (a cold job's). publish moves both into the
+	// netlist store before the result is shared, leaving net, its store
+	// key.
+	h     *igpart.Netlist
+	canon []int
+	net   string
 }
 
 // Snapshot is an immutable view of a job's externally visible state.
@@ -272,7 +275,9 @@ func (e *Engine) Submit(req Request) (*Job, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	req.Options = norm
-	return e.enqueue(req, cacheKey(req.Netlist, norm))
+	key, canon := coldKey(req.Netlist, norm)
+	req.canon = canon
+	return e.enqueue(req, key)
 }
 
 // SubmitDelta enqueues an incremental ECO re-partitioning of a finished
@@ -482,13 +487,13 @@ var outcomeCounters = map[jobreg.State]string{
 func (e *Engine) publish(key string, res *Result) {
 	if len(res.NetOrder) > 0 {
 		if h := res.h; h != nil && len(res.NetOrder) == h.NumNets() {
-			n := e.nets.put(h)
+			n := e.nets.put(h, res.canon)
 			res.net, res.NetOrder = n.key, n.canonical(res.NetOrder)
 		} else {
 			res.NetOrder = nil
 		}
 	}
-	res.h = nil
+	res.h, res.canon = nil, nil
 	e.cache.put(key, res)
 }
 
@@ -503,18 +508,19 @@ func (e *Engine) settle(job *Job, state jobreg.State, res *Result, cached bool, 
 	if res != nil && len(res.NetOrder) > 0 {
 		net = res.net
 		var own *igpart.Netlist
+		var canon []int
 		if cached {
 			// Under the job's lock: a Cancel racing an intake hit may
 			// settle the job first and drop its netlist.
-			job.Update(func() { own = job.req.Netlist })
+			job.Update(func() { own, canon = job.req.Netlist, job.req.canon })
 		}
 		if own != nil {
-			net = e.nets.put(own).key
+			net = e.nets.put(own, canon).key
 		}
 	}
 	job.Finish(state, err, func() {
 		job.res, job.cached, job.net = res, cached, net
-		job.req.Netlist, job.req.warm = nil, nil
+		job.req.Netlist, job.req.warm, job.req.canon = nil, nil, nil
 	}, func() {
 		e.reg.Counter(outcomeCounters[state]).Add(1)
 		e.jobs.Finish(job.ID())
@@ -629,6 +635,7 @@ func solve(ctx context.Context, req Request, inj *fault.Injector, reg *obs.Regis
 			Winner:   r.Winner,
 			Stages:   tr.Finish(),
 			h:        req.Netlist,
+			canon:    req.canon,
 		}, nil
 	case AlgoMultilevel:
 		r, err := igpart.MultilevelIGMatch(req.Netlist, igpart.MultilevelOptions{
@@ -733,6 +740,7 @@ func solve(ctx context.Context, req Request, inj *fault.Injector, reg *obs.Regis
 			NetOrder: r.NetOrder,
 			Stages:   tr.Finish(),
 			h:        req.Netlist,
+			canon:    req.canon,
 		}, nil
 	}
 }

@@ -93,17 +93,21 @@ func (s *netStore) get(key string) (*stored, bool) {
 	return el.Value.(*stored), true
 }
 
-// put keeps h and returns the kept entry. A netlist already kept under
-// h's key is marked recently used and returned instead, and h is left
-// to the collector; only a new netlist is sorted into canonical
-// numbering. Least recently used netlists are evicted until the total
-// fits the budget, never the one just kept.
-func (s *netStore) put(h *igpart.Netlist) *stored {
+// put keeps h and returns the kept entry. canon is h's canonical net
+// order when the caller sorted it already, or nil. A netlist already
+// kept under h's key is marked recently used and returned instead, and
+// h is left to the collector; a new netlist keeps canon, or is sorted
+// into canonical numbering when canon is nil. Least recently used
+// netlists are evicted until the total fits the budget, never the one
+// just kept.
+func (s *netStore) put(h *igpart.Netlist, canon []int) *stored {
 	key := netKey(h)
 	if n, ok := s.get(key); ok {
 		return n
 	}
-	canon := h.CanonicalOrder()
+	if canon == nil {
+		canon = h.CanonicalOrder()
+	}
 	n := &stored{key: key, h: h, canon: canon, size: h.SizeBytes() + 8*len(canon) + len(key)}
 	s.mu.Lock()
 	defer s.mu.Unlock()

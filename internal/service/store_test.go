@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -146,6 +147,41 @@ func TestNoOrderingKeepsNoNetlist(t *testing.T) {
 	}
 }
 
+// TestColdJobSortsNetsOnce checks that the netlist store keeps the
+// canonical order a cold job sorted at intake for its cache key, rather
+// than sorting the nets again when the result is published, and that a
+// net-reordered twin answered from the cache at intake keeps its own
+// canonical order.
+func TestColdJobSortsNetsOnce(t *testing.T) {
+	h := genNetlist(t, 80, 100, 6)
+	e := New(Config{Workers: 1})
+	defer shutdownNow(t, e)
+	var intake []int
+	inner := e.solveFn
+	e.solveFn = func(ctx context.Context, req Request) (*Result, error) {
+		intake = req.canon
+		return inner(ctx, req)
+	}
+	stored := func(job *Job) []int {
+		t.Helper()
+		var net string
+		job.Status(func() { net = job.net })
+		n, ok := e.nets.get(net)
+		if !ok {
+			t.Fatal("the job's netlist is not in the store")
+		}
+		return n.canon
+	}
+	canon := stored(solveBase(t, e, h, Options{}))
+	if len(intake) == 0 || &canon[0] != &intake[0] {
+		t.Fatal("the store sorted the nets again instead of keeping the order sorted at intake")
+	}
+	twin := reversedNets(h)
+	if got := stored(solveBase(t, e, twin, Options{})); !slices.Equal(got, twin.CanonicalOrder()) {
+		t.Fatalf("the twin's store entry holds canonical order %v, want %v", got, twin.CanonicalOrder())
+	}
+}
+
 // TestPatchRacesBaseFinish sends PATCHes from several goroutines while
 // their base job is still solving: each is refused as not yet
 // warm-startable until the base finishes, then accepted and solved or
@@ -191,16 +227,16 @@ func TestNetStoreBudget(t *testing.T) {
 	reg := new(obs.Registry)
 	s := newNetStore(reg)
 	a, b, c := genNetlist(t, 40, 50, 1), genNetlist(t, 40, 50, 2), genNetlist(t, 40, 50, 3)
-	ka := s.put(a)
+	ka := s.put(a, nil)
 	s.budget = ka.size * 5 / 2
-	if again := s.put(reversedNets(reversedNets(a))); again != ka {
+	if again := s.put(reversedNets(reversedNets(a)), nil); again != ka {
 		t.Fatal("an equal netlist was kept twice")
 	}
-	kb := s.put(b)
+	kb := s.put(b, nil)
 	if _, ok := s.get(ka.key); !ok { // a is now more recent than b
 		t.Fatal("a evicted before the budget was reached")
 	}
-	s.put(c)
+	s.put(c, nil)
 	if _, ok := s.get(kb.key); ok {
 		t.Fatal("b, the least recently used, survived")
 	}
@@ -208,7 +244,7 @@ func TestNetStoreBudget(t *testing.T) {
 		t.Fatal("a, more recent than b, was evicted")
 	}
 	s.budget = 1
-	big := s.put(genNetlist(t, 40, 50, 4))
+	big := s.put(genNetlist(t, 40, 50, 4), nil)
 	if _, ok := s.get(big.key); !ok || s.order.Len() != 1 {
 		t.Fatalf("over-budget put: kept %v, %d netlists; want it alone", ok, s.order.Len())
 	}
