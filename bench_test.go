@@ -7,7 +7,9 @@ package igpart
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"igpart/internal/bench"
@@ -254,16 +256,65 @@ func BenchmarkSweepPrim2(b *testing.B) {
 	}
 }
 
+// An ECO warm start on the full-size Prim2 circuit: one seeded delta of
+// 1% of the nets removed and 3 pins added, re-partitioned from the base
+// IGMatch result's net ordering and best rank (one sweep, no eigensolve).
+func BenchmarkWarmStartPrim2(b *testing.B) {
+	h := prim2(b, 1.0)
+	base, err := IGMatch(h)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := ecoDelta(h, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := WarmStart(h, base, d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Cold {
+			b.Fatal("the delta fell back to a cold solve")
+		}
+	}
+}
+
+// ecoDelta removes 1% of h's nets (at least one) and adds 3 pins to
+// surviving nets, drawn from seed.
+func ecoDelta(h *Netlist, seed int64) NetlistDelta {
+	rng := rand.New(rand.NewSource(seed))
+	m, n := h.NumNets(), h.NumModules()
+	removed := make(map[int]bool)
+	for len(removed) < max(1, m/100) {
+		removed[rng.Intn(m)] = true
+	}
+	var d NetlistDelta
+	for e := range removed {
+		d.RemoveNets = append(d.RemoveNets, e)
+	}
+	slices.Sort(d.RemoveNets)
+	added := make(map[DeltaPin]bool)
+	for len(d.AddPins) < 3 {
+		p := DeltaPin{Net: rng.Intn(m), Module: rng.Intn(n)}
+		if removed[p.Net] || added[p] || slices.Contains(h.Pins(p.Net), p.Module) {
+			continue
+		}
+		added[p] = true
+		d.AddPins = append(d.AddPins, p)
+	}
+	return d
+}
+
 // The candidate sweep over the full-size Prim2 Fiedler order at P=1, on
 // both sides of the walk bound: 8 candidates bootstrap a Hopcroft–Karp
-// matching at every one, 32 bootstrap once and walk the gaps between.
+// matching at every one, 12 and 32 bootstrap once and walk the gaps
+// between.
 func BenchmarkCandidateSweepPrim2(b *testing.B) {
 	h := prim2(b, 1.0)
 	res, err := core.Partition(h, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, c := range []int{8, 32} {
+	for _, c := range []int{8, 12, 32} {
 		b.Run(fmt.Sprintf("candidates=%d", c), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := core.PartitionCandidatesWithOrder(h, res.NetOrder, c, core.Options{Parallelism: 1}); err != nil {

@@ -233,26 +233,27 @@ func IGMatch(h *Netlist, opts ...IGMatchOptions) (IGMatchResult, error) {
 // IGMatchCandidates runs the million-net-scale variant of IG-Match: the
 // same eigenvector ordering, but instead of sweeping all m−1 splits (the
 // full sweep is quadratic in the worst case — Theorem 6), it completes
-// `candidates` evenly spaced splits, each bootstrapped independently and
-// evaluated in parallel with the same lowest-rank-wins reduction as the
-// full sweep. candidates ≤ 0 uses the default of 32. On the paper-scale
-// circuits the full sweep is affordable and strictly at least as good;
-// above ~10⁵ nets the candidate sweep is the practical choice.
+// `candidates` evenly spaced splits, walked to through one matching per
+// shard when they are close enough and evaluated in parallel with the
+// same lowest-rank-wins reduction as the full sweep. candidates ≤ 0 uses
+// the default of 32. On the paper-scale circuits the full sweep is
+// affordable and strictly at least as good; above ~10⁵ nets the
+// candidate sweep is the practical choice.
 func IGMatchCandidates(h *Netlist, candidates int, opts ...IGMatchOptions) (IGMatchResult, error) {
 	return igMatch(h, func(h *Netlist, co core.Options) (core.Result, error) {
 		return core.PartitionCandidates(h, candidates, co)
 	}, opts)
 }
 
-// igMatch is the one IGMatchOptions-to-core mapping behind IGMatch and
-// IGMatchCandidates: it builds core.Options from the first of opts (the
-// zero value when absent), runs solve, and lifts core's result.
-func igMatch(h *Netlist, solve func(*Netlist, core.Options) (core.Result, error), opts []IGMatchOptions) (IGMatchResult, error) {
+// coreOptions is the one IGMatchOptions-to-core mapping behind IGMatch,
+// IGMatchCandidates and WarmStart: it builds core.Options from the first
+// of opts, the zero value when absent.
+func coreOptions(opts []IGMatchOptions) core.Options {
 	var o IGMatchOptions
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	res, err := solve(h, core.Options{
+	return core.Options{
 		IG: netmodel.IGOptions{Scheme: o.Scheme, Threshold: o.Threshold},
 		Eigen: eigen.Options{
 			Seed: o.Seed, BlockSize: o.BlockSize,
@@ -263,7 +264,13 @@ func igMatch(h *Netlist, solve func(*Netlist, core.Options) (core.Result, error)
 		Rec:            o.Rec,
 		Ctx:            o.Ctx,
 		Fault:          o.Fault,
-	})
+	}
+}
+
+// igMatch runs solve under the core options of opts and lifts core's
+// result.
+func igMatch(h *Netlist, solve func(*Netlist, core.Options) (core.Result, error), opts []IGMatchOptions) (IGMatchResult, error) {
+	res, err := solve(h, coreOptions(opts))
 	if err != nil {
 		return IGMatchResult{}, err
 	}
@@ -444,28 +451,13 @@ type WarmStartResult = portfolio.WarmResult
 
 // WarmStart re-partitions a previously solved netlist after an ECO
 // delta, reusing the cached net ordering and best split from the base
-// IGMatch result: only a rank window around the carried-over winner is
-// swept (plus a sparse global probe) — no eigensolve at all. Deltas
-// perturbing more than a quarter of the nets fall back to a cold solve.
-// An empty delta reproduces the base result bit for bit.
+// IGMatch result: one sweep visits a rank window around the carried-over
+// winner plus evenly spaced ranks of the whole ordering — no eigensolve
+// at all. Deltas perturbing more than a quarter of the nets fall back to
+// a cold solve. An empty delta reproduces the base result bit for bit.
+// opts map onto the solver exactly as for IGMatch.
 func WarmStart(h *Netlist, base IGMatchResult, d NetlistDelta, opts ...IGMatchOptions) (WarmStartResult, error) {
-	var o IGMatchOptions
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	return portfolio.WarmStart(h, base.NetOrder, base.BestRank, d, portfolio.WarmOptions{
-		Core: core.Options{
-			IG: netmodel.IGOptions{Scheme: o.Scheme, Threshold: o.Threshold},
-			Eigen: eigen.Options{
-				Seed: o.Seed, BlockSize: o.BlockSize,
-				ReorthMode: o.Reorth, MatvecWorkers: o.MatvecParallelism,
-			},
-			Parallelism: o.Parallelism,
-			Rec:         o.Rec,
-			Ctx:         o.Ctx,
-			Fault:       o.Fault,
-		},
-	})
+	return portfolio.WarmStart(h, base.NetOrder, base.BestRank, d, coreOptions(opts))
 }
 
 // IGVote partitions h with the Hagen–Kahng IG-Vote heuristic (the EIG1-IG

@@ -54,7 +54,7 @@ func (s Suite) portfolioRuns(h *hypergraph.Hypergraph, rec obs.Recorder) ([]AlgR
 			return bipartition(base.Metrics, err)
 		}},
 		{AlgECOWarm, func(sp obs.Recorder) (AlgRun, error) {
-			warm, err := portfolio.WarmStart(h, base.NetOrder, base.BestRank, delta, portfolio.WarmOptions{Core: opts(sp)})
+			warm, err := portfolio.WarmStart(h, base.NetOrder, base.BestRank, delta, opts(sp))
 			if err == nil && warm.Cold {
 				err = fmt.Errorf("%d-net delta fell back to a cold solve", touched)
 			}

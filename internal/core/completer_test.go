@@ -137,21 +137,37 @@ func sameRecord(a, b SplitRecord) bool {
 		(a.RatioCut == b.RatioCut || (math.IsInf(a.RatioCut, 1) && math.IsInf(b.RatioCut, 1)))
 }
 
+// rankRange lists the ranks lo..hi.
+func rankRange(lo, hi int) []int {
+	ranks := make([]int, 0, max(hi-lo+1, 0))
+	for r := lo; r <= hi; r++ {
+		ranks = append(ranks, r)
+	}
+	return ranks
+}
+
 // TestWindowedTraceMatchesFullSweep checks that a sweep restricted to a
 // rank window traces exactly the ranks it swept, each record equal to the
-// unwindowed sweep's at that rank: SweepLo/SweepHi windows against the full
-// sweep, and a balance budget (which prunes to its own rank window) against
-// the same budget narrowed further by SweepLo/SweepHi. Shards starting
-// mid-ordering build their completer state there, so this also covers the
-// incremental completer's mid-ordering start.
+// unwindowed sweep's at that rank: rank lists swept by
+// PartitionRanksWithOrder against the full sweep, and a balance budget
+// (which prunes to its own rank window) against the same budget with a
+// list inside its window and one across it, whose ranks outside the
+// window are dropped. Shards starting mid-ordering build their
+// completer state there, so this also covers the incremental completer's
+// mid-ordering start. A rank list reaching past the last split is
+// rejected, not clamped.
 func TestWindowedTraceMatchesFullSweep(t *testing.T) {
-	run := func(h *hypergraph.Hypergraph, order []int, opts Options) []SplitRecord {
+	run := func(h *hypergraph.Hypergraph, order []int, ranks []int, opts Options) []SplitRecord {
 		t.Helper()
 		var trace []SplitRecord
 		opts.Trace = &trace
 		// A window without a proper completion fails the run but still
 		// traces its ranks, all infeasible.
-		_, _ = PartitionWithOrder(h, order, opts)
+		if ranks == nil {
+			_, _ = PartitionWithOrder(h, order, opts)
+		} else {
+			_, _ = PartitionRanksWithOrder(h, order, ranks, opts)
+		}
 		return trace
 	}
 	check := func(label string, trace []SplitRecord, lo, hi int, ref []SplitRecord, refLo int) {
@@ -169,10 +185,10 @@ func TestWindowedTraceMatchesFullSweep(t *testing.T) {
 		h := randomCircuit(t, seed)
 		order := rand.New(rand.NewSource(seed)).Perm(h.NumNets())
 		m, n := h.NumNets(), h.NumModules()
-		full := run(h, order, Options{Parallelism: 1})
+		full := run(h, order, nil, Options{Parallelism: 1})
 		bal := &Balance{MinU: n / 3, MaxU: 2 * n / 3}
 		blo, bhi := balanceRankWindow(bal, n, m-1)
-		balFull := run(h, order, Options{Parallelism: 1, Balance: bal})
+		balFull := run(h, order, nil, Options{Parallelism: 1, Balance: bal})
 		if len(balFull) != bhi-blo+1 {
 			t.Fatalf("seed %d: balance sweep traced %d records, want %d for ranks [%d,%d]",
 				seed, len(balFull), bhi-blo+1, blo, bhi)
@@ -184,11 +200,16 @@ func TestWindowedTraceMatchesFullSweep(t *testing.T) {
 		}
 		for _, p := range []int{1, 3} {
 			label := fmt.Sprintf("seed %d P=%d", seed, p)
-			check(label+" [40,60]", run(h, order, Options{Parallelism: p, SweepLo: 40, SweepHi: 60}), 40, 60, full, 1)
-			check(label+" past the end", run(h, order, Options{Parallelism: p, SweepLo: m - 10, SweepHi: m + 5}), m-10, m-1, full, 1)
+			check(label+" [40,60]", run(h, order, rankRange(40, 60), Options{Parallelism: p}), 40, 60, full, 1)
+			if _, err := PartitionRanksWithOrder(h, order, rankRange(m-10, m+5), Options{Parallelism: p}); err == nil {
+				t.Fatalf("%s: ranks past the end [%d,%d] accepted", label, m-10, m+5)
+			}
 			check(label+" inside the balance window",
-				run(h, order, Options{Parallelism: p, Balance: bal, SweepLo: blo + 5, SweepHi: bhi - 5}),
+				run(h, order, rankRange(blo+5, bhi-5), Options{Parallelism: p, Balance: bal}),
 				blo+5, bhi-5, balFull, blo)
+			check(label+" across the balance window",
+				run(h, order, rankRange(max(blo-5, 1), min(bhi+5, m-1)), Options{Parallelism: p, Balance: bal}),
+				blo, bhi, balFull, blo)
 		}
 	}
 }

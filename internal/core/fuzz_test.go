@@ -18,15 +18,16 @@ import (
 // and every record equals CompleteNetPartition's from-scratch completion
 // of that split's net sides — infeasible in both or equal in matching
 // size, cut and ratio cut. The candidate sweep over the same order, at a
-// fuzzed budget (0 selects the default), must trace each probed rank
-// exactly as the full sweep does and return the lowest-rank best of
-// those records — or fail, serial and sharded alike, when none of them
-// is feasible.
+// fuzzed budget (0 selects the default), and the rank-list sweep of a
+// fuzzed rank subset (rank r is in it when bit r−1 of pick is set) must
+// each trace its ranks exactly as the full sweep does and return the
+// lowest-rank best of those records — or fail, serial and sharded alike,
+// when none of them is feasible. An empty subset must be rejected.
 func FuzzSweep(f *testing.F) {
-	f.Add(uint8(6), []byte{2, 0, 1, 2, 1, 2, 3, 0, 3, 2, 4, 5}, []byte{3, 1, 4, 1, 5}, uint8(3))
-	f.Add(uint8(9), []byte{3, 0, 1, 2, 3, 3, 4, 5, 2, 5, 6, 2, 7, 8, 2, 0, 8}, []byte{9, 2, 6}, uint8(0))
-	f.Add(uint8(12), []byte{4, 0, 1, 2, 3, 2, 3, 4, 4, 4, 5, 6, 7, 1, 7, 3, 7, 8, 9, 2, 9, 10, 2, 10, 11, 0, 2, 11, 0}, []byte{}, uint8(7))
-	f.Fuzz(func(t *testing.T, nMod uint8, nets, perm []byte, budget uint8) {
+	f.Add(uint8(6), []byte{2, 0, 1, 2, 1, 2, 3, 0, 3, 2, 4, 5}, []byte{3, 1, 4, 1, 5}, uint8(3), uint16(0b1101))
+	f.Add(uint8(9), []byte{3, 0, 1, 2, 3, 3, 4, 5, 2, 5, 6, 2, 7, 8, 2, 0, 8}, []byte{9, 2, 6}, uint8(0), uint16(0))
+	f.Add(uint8(12), []byte{4, 0, 1, 2, 3, 2, 3, 4, 4, 4, 5, 6, 7, 1, 7, 3, 7, 8, 9, 2, 9, 10, 2, 10, 11, 0, 2, 11, 0}, []byte{}, uint8(7), uint16(0xffff))
+	f.Fuzz(func(t *testing.T, nMod uint8, nets, perm []byte, budget uint8, pick uint16) {
 		n := int(nMod)%11 + 2
 		b := hypergraph.NewBuilder().SetNumModules(n)
 		// Decode nets as a stream: one size byte, then that many pins mod n.
@@ -110,6 +111,36 @@ func FuzzSweep(f *testing.F) {
 				serialCand = res
 			} else if !samePartition(res.Partition, serialCand.Partition) {
 				t.Fatalf("budget %d: P=%d candidate partition differs from P=1's", budget, p)
+			}
+		}
+
+		var ranks []int
+		for r := 1; r < m; r++ {
+			if pick&(1<<(r-1)) != 0 {
+				ranks = append(ranks, r)
+			}
+		}
+		if len(ranks) == 0 {
+			if _, err := PartitionRanksWithOrder(h, order, ranks, Options{}); err == nil {
+				t.Fatal("an empty rank list was accepted")
+			}
+			return
+		}
+		var serialList Result
+		for _, p := range []int{1, 3} {
+			var recs []SplitRecord
+			res, err := PartitionRanksWithOrder(h, order, ranks, Options{Parallelism: p, Trace: &recs})
+			label := fmt.Sprintf("P=%d ranks %v", p, ranks)
+			if len(recs) != len(ranks) {
+				t.Fatalf("%s: %d records for %d ranks", label, len(recs), len(ranks))
+			}
+			if !checkCandidateRun(t, label, recs, res, err, serial) {
+				continue
+			}
+			if p == 1 {
+				serialList = res
+			} else if !samePartition(res.Partition, serialList.Partition) {
+				t.Fatalf("ranks %v: P=%d partition differs from P=1's", ranks, p)
 			}
 		}
 	})

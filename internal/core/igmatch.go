@@ -17,13 +17,14 @@
 //  4. Return the best module partition over all splits.
 //
 // One walker serves every sweep: the full sweep hands it each rank of the
-// ordering, a windowed sweep (warm starts, balance budgets) the ranks of
-// its window, and the candidate sweep of scalable.go a spaced subset. A
-// rank that follows the previous one advances the matching by one move,
-// and a rank a short gap ahead by one move per net in the gap; a shard's
-// first rank, and a rank after a gap longer than m/16, is bootstrapped
-// from scratch. Both reach the same split, because the Even/Odd classes
-// are canonical over maximum matchings.
+// ordering (of a balance budget's rank window, when one is set), the
+// candidate sweep of scalable.go a spaced subset, and PartitionRanksWithOrder
+// a caller's ascending rank list (a warm start's window and spaced
+// ranks). A rank that follows the previous one advances the matching by
+// one move, and a rank a short gap ahead by one move per net in the gap;
+// a shard's first rank, and a rank after a gap longer than m/10, is
+// bootstrapped from scratch. Both reach the same split, because the
+// Even/Odd classes are canonical over maximum matchings.
 //
 // Theorems 4–5 guarantee each completion cuts at most |maximum matching(B)|
 // nets. Theorem 6 bounds the matching maintenance over the whole sweep by
@@ -40,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"igpart/internal/bipartite"
@@ -70,8 +72,9 @@ type Options struct {
 	// instead of only being bulk-assigned, and the better completion wins.
 	// The value bounds the recursion depth.
 	RecursionDepth int
-	// Trace, when non-nil, receives one record per swept split: every
-	// rank of the sweep window, or every probed candidate rank.
+	// Trace, when non-nil, receives one record per swept split, in
+	// ascending rank order: every rank of the sweep window, every probed
+	// candidate rank, or every rank of a caller's list.
 	Trace *[]SplitRecord
 	// Parallelism bounds the number of concurrent sweep shards: the swept
 	// ranks are cut into that many contiguous pieces, each walked by its
@@ -106,17 +109,6 @@ type Options struct {
 	// production default — imposes nothing and keeps the sweep
 	// bit-identical to the paper engine. See constrained.go.
 	Balance *Balance
-	// SweepLo and SweepHi, when SweepHi > 0, restrict the sweep — full or
-	// candidate — to the 1-based rank window [SweepLo, SweepHi]
-	// (intersected with whatever window a Balance budget already imposes,
-	// and the candidates spread over it). The caller asserts that
-	// the globally best split lies inside the window: a warm start from
-	// a previous run on a perturbed netlist sweeps only ranks near the
-	// previous winner instead of all m−1 splits. Because the shard
-	// reduction keeps the earliest best split, a window that contains
-	// the full-sweep winner reproduces the full sweep's result exactly.
-	// Zero values (the default) sweep everything.
-	SweepLo, SweepHi int
 	// FixedSides, when non-nil, pins modules before the sweep:
 	// FixedSides[v] = 0 pins module v to side U, 1 pins it to side W,
 	// and −1 leaves it free. A pinned module pre-assigns its nets'
@@ -190,7 +182,7 @@ func fiedlerSweep(h *hypergraph.Hypergraph, budget int, opts Options) (Result, e
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := sweep(h, order, budget, opts)
+	res, err := sweep(h, order, budget, nil, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -231,7 +223,29 @@ func fiedlerOrder(h *hypergraph.Hypergraph, opts Options) ([]int, float64, error
 // machinery independently of the eigensolve, which the tests and the
 // recursive extension rely on.
 func PartitionWithOrder(h *hypergraph.Hypergraph, order []int, opts Options) (Result, error) {
-	return sweep(h, order, 0, opts)
+	return sweep(h, order, 0, nil, opts)
+}
+
+// PartitionRanksWithOrder sweeps only the listed ranks of an externally
+// supplied net ordering; they must be non-empty, strictly ascending and
+// inside [1, m−1] for m nets. Each traced record equals the full sweep's
+// at its rank and metric ties go to the lowest rank, so a list holding
+// the full sweep's winner reproduces PartitionWithOrder's result. A
+// Balance budget drops the listed ranks outside its rank window.
+func PartitionRanksWithOrder(h *hypergraph.Hypergraph, order []int, ranks []int, opts Options) (Result, error) {
+	if len(ranks) == 0 {
+		return Result{}, errors.New("core: empty rank list")
+	}
+	m := h.NumNets()
+	for i, r := range ranks {
+		if r < 1 || r > m-1 {
+			return Result{}, fmt.Errorf("core: rank %d outside [1,%d]", r, m-1)
+		}
+		if i > 0 && r <= ranks[i-1] {
+			return Result{}, fmt.Errorf("core: ranks %d, %d not strictly ascending", ranks[i-1], r)
+		}
+	}
+	return sweep(h, order, 0, ranks, opts)
 }
 
 // SortNetsByVector returns net indices sorted by ascending eigenvector
@@ -294,17 +308,19 @@ func IGAdjacency(h *hypergraph.Hypergraph) [][]int {
 	return adj
 }
 
-// sweep runs the IG-Match main loop over the given net order: budget 0
-// walks every rank of the sweep window (the full sweep), a positive
-// budget that many evenly spaced ranks of it (the candidate sweep). The
-// ranks are cut into contiguous shards, each walked by sweepShard behind
+// sweep runs the IG-Match main loop over the given net order. The sweep
+// window is every rank, or the rank window a Balance budget leaves; a
+// positive budget visits that many evenly spaced ranks of it (the
+// candidate sweep), a non-nil list the listed ranks inside it, and
+// otherwise every rank of it (the full sweep). The visited ranks are cut
+// into contiguous shards, each walked by sweepShard behind
 // the recover barrier of parallel.go, and the shard winners are reduced
 // once. Each shard builds its completer state once at its first split
 // and then carries it from split to split (see completer), so both
 // Phase II bulk options are read in O(1) per split, and a concrete
 // partition is only materialized when the split improves on the shard's
 // best so far.
-func sweep(h *hypergraph.Hypergraph, order []int, budget int, opts Options) (Result, error) {
+func sweep(h *hypergraph.Hypergraph, order []int, budget int, list []int, opts Options) (Result, error) {
 	m := h.NumNets()
 	if len(order) != m {
 		return Result{}, fmt.Errorf("core: order has %d entries, want %d", len(order), m)
@@ -325,28 +341,20 @@ func sweep(h *hypergraph.Hypergraph, order []int, budget int, opts Options) (Res
 	if cons != nil {
 		loRank, hiRank = balanceRankWindow(cons.bal, h.NumModules(), nSplits)
 	}
-	// An explicit sweep window (warm starts) intersects the balance
-	// window; clamp to the valid rank range so callers can center a
-	// window near the ends without bounds bookkeeping.
-	if opts.SweepHi > 0 {
-		if opts.SweepLo > loRank {
-			loRank = opts.SweepLo
-		}
-		if opts.SweepHi < hiRank {
-			hiRank = opts.SweepHi
-		}
-		if loRank > hiRank {
-			return Result{}, fmt.Errorf("core: empty sweep window [%d,%d]", loRank, hiRank)
-		}
-	}
 
-	// The two sweeps keep their own span name and error wording.
+	// The candidate sweep keeps its own span name and error wording.
 	spanName, shardName, sweepName, splitName := "sweep", "sweep shard", "sweep", "split"
 	var ranks []int
-	if budget > 0 {
+	switch {
+	case budget > 0:
 		spanName, shardName, sweepName, splitName = "candidate-sweep", "candidate shard", "candidate sweep", "candidate split"
 		ranks = candidateRanksWindow(budget, loRank, hiRank)
-	} else {
+	case list != nil:
+		// The list ascends, so the ranks inside the window are a run of it.
+		lo, _ := slices.BinarySearch(list, loRank)
+		hi, _ := slices.BinarySearch(list, hiRank+1)
+		ranks = list[lo:hi]
+	default:
 		ranks = make([]int, 0, hiRank-loRank+1)
 		for rank := loRank; rank <= hiRank; rank++ {
 			ranks = append(ranks, rank)
@@ -471,9 +479,10 @@ func winnersAt(adj [][]int, order []int, rank int) bipartite.Sets {
 // costs one augmentation search per moved net and bootstrapping a
 // Hopcroft–Karp matching plus an O(pins) completer build. On a 2-vCPU
 // Xeon VM walking lost beyond a gap of about m/5 at 3k–10k nets and
-// about m/9 at 100k nets, so m/16 keeps every walk the cheaper of the
-// two.
-const walkRatio = 16
+// about m/9 at 100k nets, so m/10 keeps every walk the cheaper of the
+// two, and a budget of 11 or more candidates over a whole ordering walks
+// its gaps.
+const walkRatio = 10
 
 // sweepShard walks the ascending ranks of one shard with an incremental
 // matcher and completer. The next rank, or a candidate at most

@@ -2,12 +2,12 @@
 // into P contiguous shards; each worker walks its shard with a private
 // incremental matcher, bootstrapped by a from-scratch Hopcroft–Karp
 // build (bipartite.NewMatcherAt) at the shard boundary and again after
-// any gap longer than m/16 between ranks. Because the Even/Odd/Core
+// any gap longer than m/10 between ranks. Because the Even/Odd/Core
 // classification is canonical over maximum matchings
 // (Dulmage–Mendelsohn), every shard sees exactly the per-split state the
 // serial sweep would, and the lowest-rank-wins reduction in sweep()
 // makes the combined result bit-identical to the serial engine for any
-// P. The full, windowed and candidate sweeps all run through this one
+// P. The full, candidate and rank-list sweeps all run through this one
 // engine.
 //
 // Cost: each bootstrap is a Hopcroft–Karp build in O(e·√m) plus one

@@ -5,12 +5,12 @@
 // the spectral pipeline intact and completes only a bounded set of
 // evenly spaced candidate splits. The candidates run through the same
 // shard walker as the full sweep, which carries one matcher and one
-// completer across the gaps: a candidate at most m/16 ranks past the
+// completer across the gaps: a candidate at most m/10 ranks past the
 // previous one is reached by moving the nets in between (MoveToR), one
-// Classify and one completer advance, so the default 32 candidates cost
-// one Hopcroft–Karp bootstrap per shard. A candidate after a longer
-// gap, as with 16 or fewer spread over the whole ordering, is
-// bootstrapped with its own from-scratch matching
+// Classify and one completer advance, so 11 or more candidates, the
+// default 32 among them, cost one Hopcroft–Karp bootstrap per shard. A
+// candidate after a longer gap, as with 10 or fewer spread over the
+// whole ordering, is bootstrapped with its own from-scratch matching
 // (bipartite.NewMatcherAt). Because the Even/Odd/Core classification is
 // canonical over maximum matchings, every candidate sees exactly the
 // per-split state the serial sweep would at that rank, so each
@@ -35,23 +35,19 @@ const DefaultCandidates = 32
 // wins. The reduction admits a later candidate only on strict metric
 // improvement, so ties resolve to the lowest rank and the result is
 // bit-identical for every parallelism. opts.Trace receives one record
-// per candidate, and SweepLo/SweepHi narrow the window the candidates
-// spread over.
+// per candidate, and a Balance budget narrows the rank window the
+// candidates spread over.
 func PartitionCandidates(h *hypergraph.Hypergraph, candidates int, opts Options) (Result, error) {
 	return fiedlerSweep(h, candidateBudget(candidates), opts)
 }
 
 // PartitionCandidatesWithOrder runs the candidate sweep over an
 // externally supplied net ordering, the evenly-spaced counterpart of
-// PartitionWithOrder. Warm starts use it as a cheap global probe: a
-// dense window around the previous best rank can miss an optimum the
-// perturbation relocated, and a few dozen spaced completions over the
-// whole ordering catch that. At the default 32 candidates the probe
-// walks the ordering once, one matching repair per net and one
-// completion per candidate, after a single Hopcroft–Karp bootstrap per
-// shard.
+// PartitionWithOrder. At the default 32 candidates it walks the ordering
+// once, one matching repair per net and one completion per candidate,
+// after a single Hopcroft–Karp bootstrap per shard.
 func PartitionCandidatesWithOrder(h *hypergraph.Hypergraph, order []int, candidates int, opts Options) (Result, error) {
-	return sweep(h, order, candidateBudget(candidates), opts)
+	return sweep(h, order, candidateBudget(candidates), nil, opts)
 }
 
 // candidateBudget resolves a caller's candidate count to the sweep's
@@ -64,12 +60,12 @@ func candidateBudget(candidates int) int {
 	return candidates
 }
 
-// candidateRanks returns the evenly spaced, strictly ascending rank set
-// probed over 1..nSplits by a positive candidate budget.
-func candidateRanks(candidates, nSplits int) []int {
-	if candidates > nSplits {
-		candidates = nSplits
-	}
+// CandidateRanks returns the evenly spaced, strictly ascending ranks a
+// candidate sweep with a positive budget probes over the ranks
+// 1..nSplits of an ordering, at most candidates of them. A warm start
+// merges them into its rank list for PartitionRanksWithOrder.
+func CandidateRanks(candidates, nSplits int) []int {
+	candidates = max(min(candidates, nSplits), 0)
 	ranks := make([]int, 0, candidates)
 	prev := 0
 	for i := 0; i < candidates; i++ {
@@ -87,9 +83,9 @@ func candidateRanks(candidates, nSplits int) []int {
 
 // candidateRanksWindow spreads the candidate budget over the rank window
 // [lo, hi] instead of the whole ordering; the full-range call reduces to
-// candidateRanks exactly, keeping the unconstrained engine bit-identical.
+// CandidateRanks exactly, keeping the unconstrained engine bit-identical.
 func candidateRanksWindow(candidates, lo, hi int) []int {
-	ranks := candidateRanks(candidates, hi-lo+1)
+	ranks := CandidateRanks(candidates, hi-lo+1)
 	if lo != 1 {
 		for i := range ranks {
 			ranks[i] += lo - 1

@@ -153,9 +153,10 @@ func TestSweepPins(t *testing.T) {
 // candidatePins holds, for the circuits of sweepPins, one hash over the
 // sweeps that start mid-ordering or skip ranks, all over the circuit's
 // Fiedler order: the candidate sweep at 8 and at 32 candidates, a
-// windowed full sweep at the full sweep's best rank ± 40 with its trace,
-// and a constrained run — a 45–55% balance window with module 0 pinned
-// to U and module n−1 to W — as a full sweep and at 12 candidates.
+// rank-list sweep of the full sweep's best rank ± 40 (clamped to the
+// ordering) with its trace, and a constrained run — a 45–55% balance
+// window with module 0 pinned to U and module n−1 to W — as a full sweep
+// and at 12 candidates.
 var candidatePins = []struct {
 	name  string
 	scale float64
@@ -192,9 +193,8 @@ func candidateHash(t *testing.T, h *hypergraph.Hypergraph, order []int, full Res
 		run("candidates", res, err)
 	}
 	var trace []SplitRecord
-	res, err := PartitionWithOrder(h, order, Options{
-		Parallelism: p, SweepLo: full.BestRank - 40, SweepHi: full.BestRank + 40, Trace: &trace,
-	})
+	window := rankRange(max(full.BestRank-40, 1), min(full.BestRank+40, h.NumNets()-1))
+	res, err := PartitionRanksWithOrder(h, order, window, Options{Parallelism: p, Trace: &trace})
 	run("window", res, err)
 	ph.trace(trace)
 

@@ -9,8 +9,9 @@
 //     at the deadline wins.
 //
 //   - WarmStart (warm.go): re-solve an ECO delta of a previously solved
-//     netlist by reusing its Fiedler ordering and sweeping only a rank
-//     window around the previous winner — no eigensolve at all.
+//     netlist by reusing its Fiedler ordering and sweeping once, over a
+//     rank window around the previous winner and evenly spaced ranks of
+//     the whole ordering — no eigensolve at all.
 //
 // Both paths record portfolio.* counters and per-contender obs spans.
 package portfolio

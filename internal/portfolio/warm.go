@@ -2,6 +2,7 @@ package portfolio
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"igpart/internal/core"
@@ -12,18 +13,9 @@ import (
 
 // DefaultWarmThreshold is the fraction of base nets a delta may touch
 // before WarmStart falls back to a cold solve: past it the cached
-// Fiedler ordering no longer resembles the perturbed instance's and the
-// windowed sweep would chase a stale optimum.
+// Fiedler ordering no longer resembles the perturbed instance's and a
+// sweep around the carried-over rank would chase a stale optimum.
 const DefaultWarmThreshold = 0.25
-
-// WarmOptions configures an incremental re-solve.
-type WarmOptions struct {
-	// Threshold overrides DefaultWarmThreshold when positive.
-	Threshold float64
-	// Core configures the underlying sweep (parallelism, recorder,
-	// context, eigen options for a cold fallback).
-	Core core.Options
-}
 
 // WarmResult is the outcome of WarmStart. The embedded core.Result
 // partitions H, the delta'd netlist.
@@ -33,28 +25,28 @@ type WarmResult struct {
 	// Metrics refer to.
 	H *hypergraph.Hypergraph
 	// Cold reports that the delta exceeded the perturbation threshold
-	// and a full from-scratch solve ran instead of the windowed sweep.
+	// and a full from-scratch solve ran instead of the warm sweep.
 	Cold bool
 	// TouchedNets is the delta's perturbation size.
 	TouchedNets int
-	// SweepLo and SweepHi are the rank window actually swept (zero
-	// when Cold).
-	SweepLo, SweepHi int
 }
 
 // WarmStart re-partitions base after applying delta d, reusing the
 // previous solve's net ordering instead of re-running the eigensolve:
 // surviving nets keep their relative order, added nets slot in at the
-// median position of the base nets they share modules with, and only a
-// rank window around the carried-over best split is swept (sweep +
-// König completion — the eigensolve is skipped entirely). When the
-// delta touches more than Threshold of the base nets, it falls back to
-// a cold core.Partition on the new netlist.
+// median position of the base nets they share modules with, and one
+// sweep visits warmRanks — a dense rank window around the carried-over
+// best split plus the evenly spaced candidate ranks of the whole
+// ordering (sweep + König completion; the eigensolve is skipped
+// entirely). opts configures that sweep (parallelism, recorder,
+// context) and the cold core.Partition on the new netlist that runs
+// instead when the delta touches more than DefaultWarmThreshold of the
+// base nets.
 //
 // An empty delta reproduces the base result bit for bit: the ordering
-// is unchanged and the window contains the base best rank, which the
-// earliest-best shard reduction then re-selects.
-func WarmStart(base *hypergraph.Hypergraph, baseOrder []int, baseBestRank int, d Delta, opts WarmOptions) (WarmResult, error) {
+// is unchanged, the rank list contains the base best rank, and the
+// sweep keeps the earliest best rank, which is the base's.
+func WarmStart(base *hypergraph.Hypergraph, baseOrder []int, baseBestRank int, d Delta, opts core.Options) (WarmResult, error) {
 	m0 := base.NumNets()
 	if len(baseOrder) != m0 {
 		return WarmResult{}, fmt.Errorf("portfolio: base order has %d nets, want %d", len(baseOrder), m0)
@@ -65,18 +57,14 @@ func WarmStart(base *hypergraph.Hypergraph, baseOrder []int, baseBestRank int, d
 	if err := d.Validate(base); err != nil {
 		return WarmResult{}, fmt.Errorf("portfolio: invalid delta: %w", err)
 	}
-	rec := obs.OrNop(opts.Core.Rec)
+	rec := obs.OrNop(opts.Rec)
 	h, netMap := d.Apply(base)
 	touched := d.TouchedNets()
 	res := WarmResult{H: h, TouchedNets: touched}
 
-	threshold := opts.Threshold
-	if threshold <= 0 {
-		threshold = DefaultWarmThreshold
-	}
-	if float64(touched) > threshold*float64(m0) {
+	if float64(touched) > DefaultWarmThreshold*float64(m0) {
 		rec.Metrics().Counter("portfolio.cold_fallback").Add(1)
-		cold, err := core.Partition(h, opts.Core)
+		cold, err := core.Partition(h, opts)
 		if err != nil {
 			return WarmResult{}, err
 		}
@@ -86,45 +74,18 @@ func WarmStart(base *hypergraph.Hypergraph, baseOrder []int, baseBestRank int, d
 	}
 
 	order, rank := warmOrder(base, baseOrder, baseBestRank, h, netMap)
-	m := h.NumNets()
-	w := warmWindow(m, touched)
-	co := opts.Core
-	co.SweepLo, co.SweepHi = rank-w, rank+w
-	if co.SweepLo < 1 {
-		co.SweepLo = 1
-	}
-	if co.SweepHi > m-1 {
-		co.SweepHi = m - 1
-	}
 	rec.Metrics().Counter("portfolio.warm_start").Add(1)
-	warm, err := core.PartitionWithOrder(h, order, co)
+	warm, err := core.PartitionRanksWithOrder(h, order, warmRanks(h.NumNets(), rank, touched), opts)
 	if err != nil {
 		return WarmResult{}, err
 	}
 	res.Result = warm
-	res.SweepLo, res.SweepHi = co.SweepLo, co.SweepHi
-
-	// The dense window assumes the optimum stayed near the carried-over
-	// rank; a perturbation can relocate it. A sparse global probe —
-	// a few dozen evenly spaced completions over the whole ordering —
-	// catches that at a cost independent of the window: one matching
-	// bootstrap per sweep shard, one matching repair per net walked and
-	// one completion per candidate. Strict improvement only: on an
-	// unchanged instance the windowed winner is the global optimum, so a
-	// probe can at best tie and the result stays bit-identical.
-	probeOpts := opts.Core
-	probeOpts.SweepLo, probeOpts.SweepHi = 0, 0
-	if probe, perr := core.PartitionCandidatesWithOrder(h, order, 0, probeOpts); perr == nil &&
-		betterMetrics(probe.Metrics, res.Metrics) {
-		res.Result = probe
-		rec.Metrics().Counter("portfolio.warm_probe_win").Add(1)
-	}
 
 	// A net removal can disconnect the circuit, putting a zero-cut
 	// partition arbitrarily far from the carried-over rank window. The
-	// component structure is an O(pins) check, so guard the windowed
-	// sweep with it; strict improvement only, which keeps the
-	// empty-delta path bit-identical.
+	// component structure is an O(pins) check, so guard the warm sweep
+	// with it; strict improvement only, which keeps the empty-delta path
+	// bit-identical.
 	if p, met, ok := componentSplit(h); ok && met.RatioCut < res.Metrics.RatioCut {
 		res.Partition = p
 		res.Metrics = met
@@ -173,18 +134,30 @@ func componentSplit(h *hypergraph.Hypergraph) (*partition.Bipartition, partition
 	return p, met, true
 }
 
-// warmWindow sizes the sweep half-width: wide enough that small deltas
-// cannot push the optimum out of reach, narrow enough that the windowed
-// sweep beats the full one by a large factor on big instances.
-func warmWindow(m, touched int) int {
-	w := 128
-	if t := 4 * touched; t > w {
-		w = t
+// warmRanks is the ascending rank list a warm start sweeps over an
+// ordering of m nets: the dense warmWindow around the carried-over rank
+// merged with the core.DefaultCandidates evenly spaced ranks of the whole
+// ordering. The window assumes the optimum stayed near the carried-over
+// rank; the spaced ranks catch an optimum the perturbation relocated, at
+// the cost of one matching repair per net walked between them and one
+// completion each.
+func warmRanks(m, rank, touched int) []int {
+	lo, hi := warmWindow(m, rank, touched)
+	ranks := core.CandidateRanks(core.DefaultCandidates, m-1)
+	for r := lo; r <= hi; r++ {
+		ranks = append(ranks, r)
 	}
-	if f := m / 32; f > w {
-		w = f
-	}
-	return w
+	slices.Sort(ranks)
+	return slices.Compact(ranks)
+}
+
+// warmWindow returns the dense rank window [rank−w, rank+w], clamped to
+// [1, m−1], with w = max(128, 4·touched, m/32): wide enough that small
+// deltas cannot push the optimum out of reach, narrow enough that the
+// warm sweep beats the full one by a large factor on big instances.
+func warmWindow(m, rank, touched int) (lo, hi int) {
+	w := max(128, 4*touched, m/32)
+	return max(rank-w, 1), min(rank+w, m-1)
 }
 
 // warmOrder builds the new net ordering from the cached one. Every

@@ -7,6 +7,8 @@ import (
 	"igpart/internal/core"
 	"igpart/internal/hypergraph"
 	"igpart/internal/netgen"
+	"igpart/internal/obs"
+	"igpart/internal/partition"
 )
 
 func genCircuit(t testing.TB, modules, nets int, seed int64) *hypergraph.Hypergraph {
@@ -62,7 +64,9 @@ func randomDelta(rng *rand.Rand, h *hypergraph.Hypergraph, frac float64) Delta {
 
 // TestWarmStartParityBattery is the 20-seed ECO battery: a ~3%-of-nets
 // delta warm-started from the cached base solve must land within
-// tolerance of a cold solve on the same perturbed netlist.
+// tolerance of a cold solve on the same perturbed netlist, and be no
+// worse than either half of its rank list swept alone over the same warm
+// order — the dense window and the 32 spaced candidates.
 func TestWarmStartParityBattery(t *testing.T) {
 	const tol = 1.10 // warm ratio cut within 10% of cold
 	for seed := int64(1); seed <= 20; seed++ {
@@ -76,7 +80,7 @@ func TestWarmStartParityBattery(t *testing.T) {
 		if err := d.Validate(h); err != nil {
 			t.Fatalf("seed %d: delta: %v", seed, err)
 		}
-		warm, err := WarmStart(h, base.NetOrder, base.BestRank, d, WarmOptions{})
+		warm, err := WarmStart(h, base.NetOrder, base.BestRank, d, core.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: warm: %v", seed, err)
 		}
@@ -91,12 +95,37 @@ func TestWarmStartParityBattery(t *testing.T) {
 			t.Errorf("seed %d: warm ratio %.6g vs cold %.6g exceeds %.0f%% tolerance",
 				seed, warm.Metrics.RatioCut, cold.Metrics.RatioCut, (tol-1)*100)
 		}
+
+		_, netMap := d.Apply(h)
+		order, rank := warmOrder(h, base.NetOrder, base.BestRank, warm.H, netMap)
+		var window []int
+		lo, hi := warmWindow(warm.H.NumNets(), rank, warm.TouchedNets)
+		for r := lo; r <= hi; r++ {
+			window = append(window, r)
+		}
+		windowed, err := core.PartitionRanksWithOrder(warm.H, order, window, core.Options{})
+		if err != nil {
+			t.Fatalf("seed %d: window: %v", seed, err)
+		}
+		spaced, err := core.PartitionCandidatesWithOrder(warm.H, order, core.DefaultCandidates, core.Options{})
+		if err != nil {
+			t.Fatalf("seed %d: candidates: %v", seed, err)
+		}
+		for _, half := range []struct {
+			name string
+			met  partition.Metrics
+		}{{"window", windowed.Metrics}, {"32-candidate", spaced.Metrics}} {
+			if betterMetrics(half.met, warm.Metrics) {
+				t.Errorf("seed %d: warm %+v is worse than the %s sweep's %+v", seed, warm.Metrics, half.name, half.met)
+			}
+		}
 	}
 }
 
 // TestWarmStartEmptyDeltaBitIdentical: with no delta the warm start must
 // reproduce the base solve exactly — same metrics, same best rank, same
-// side for every module.
+// side for every module — and, traced, build the conflict adjacency once
+// and run one sweep.
 func TestWarmStartEmptyDeltaBitIdentical(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		h := genCircuit(t, 300, 330, 2000+seed)
@@ -104,12 +133,21 @@ func TestWarmStartEmptyDeltaBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := WarmStart(h, base.NetOrder, base.BestRank, Delta{}, WarmOptions{})
+		tr := obs.NewTrace("warm")
+		warm, err := WarmStart(h, base.NetOrder, base.BestRank, Delta{}, core.Options{Rec: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if warm.Cold {
 			t.Fatal("empty delta fell back to cold")
+		}
+		root := tr.Finish()
+		spans := map[string]int{}
+		for _, c := range root.Children {
+			spans[c.Name]++
+		}
+		if spans["conflict-adjacency"] != 1 || spans["sweep"]+spans["candidate-sweep"] != 1 {
+			t.Fatalf("seed %d: want one conflict-adjacency span and one sweep span, got:\n%s", seed, obs.FormatTree(root))
 		}
 		if warm.Metrics != base.Metrics {
 			t.Fatalf("seed %d: metrics %+v != base %+v", seed, warm.Metrics, base.Metrics)
@@ -125,8 +163,8 @@ func TestWarmStartEmptyDeltaBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWarmStartColdFallback: a delta past the threshold must run the
-// full solve and say so.
+// TestWarmStartColdFallback: a delta past DefaultWarmThreshold must run
+// the full solve and say so.
 func TestWarmStartColdFallback(t *testing.T) {
 	h := genCircuit(t, 200, 220, 7)
 	base, err := core.Partition(h, core.Options{})
@@ -138,12 +176,12 @@ func TestWarmStartColdFallback(t *testing.T) {
 	if err := d.Validate(h); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := WarmStart(h, base.NetOrder, base.BestRank, d, WarmOptions{Threshold: 0.05})
+	warm, err := WarmStart(h, base.NetOrder, base.BestRank, d, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !warm.Cold {
-		t.Fatalf("%d touched nets under threshold 0.05 did not fall back", warm.TouchedNets)
+		t.Fatalf("%d of %d nets touched did not fall back", warm.TouchedNets, h.NumNets())
 	}
 	cold, err := core.Partition(warm.H, core.Options{})
 	if err != nil {
@@ -161,13 +199,13 @@ func TestWarmStartRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WarmStart(h, base.NetOrder[:10], base.BestRank, Delta{}, WarmOptions{}); err == nil {
+	if _, err := WarmStart(h, base.NetOrder[:10], base.BestRank, Delta{}, core.Options{}); err == nil {
 		t.Fatal("short order accepted")
 	}
-	if _, err := WarmStart(h, base.NetOrder, 0, Delta{}, WarmOptions{}); err == nil {
+	if _, err := WarmStart(h, base.NetOrder, 0, Delta{}, core.Options{}); err == nil {
 		t.Fatal("rank 0 accepted")
 	}
-	if _, err := WarmStart(h, base.NetOrder, base.BestRank, Delta{RemoveNets: []int{-4}}, WarmOptions{}); err == nil {
+	if _, err := WarmStart(h, base.NetOrder, base.BestRank, Delta{RemoveNets: []int{-4}}, core.Options{}); err == nil {
 		t.Fatal("invalid delta accepted")
 	}
 }

@@ -134,8 +134,8 @@ type Result struct {
 	NetOrder []int
 	// Winner is the winning contender of an AlgoPortfolio race.
 	Winner string
-	// Warm reports that an ECO delta job re-solved through the windowed
-	// warm start; false on delta jobs means the cold fallback ran.
+	// Warm reports that an ECO delta job re-solved through the warm
+	// start; false on delta jobs means the cold fallback ran.
 	Warm bool
 	// TouchedNets is the delta perturbation size of an ECO delta job.
 	TouchedNets int
