@@ -40,18 +40,13 @@ import (
 	"time"
 
 	"igpart/internal/anneal"
-	"igpart/internal/condense"
 	"igpart/internal/core"
 	"igpart/internal/eigen"
+	"igpart/internal/engine"
 	"igpart/internal/fault"
 	"igpart/internal/features"
 	"igpart/internal/flow"
-	"igpart/internal/fm"
 	"igpart/internal/hypergraph"
-	"igpart/internal/igdiam"
-	"igpart/internal/igvote"
-	"igpart/internal/kl"
-	"igpart/internal/multilevel"
 	"igpart/internal/multiway"
 	"igpart/internal/netgen"
 	"igpart/internal/netmodel"
@@ -59,8 +54,6 @@ import (
 	"igpart/internal/partition"
 	"igpart/internal/place"
 	"igpart/internal/portfolio"
-	"igpart/internal/refine"
-	"igpart/internal/spectral"
 )
 
 // Netlist is a circuit hypergraph: modules connected by multi-pin signal
@@ -160,55 +153,9 @@ type Result struct {
 	Metrics Metrics
 }
 
-// IGMatchOptions tunes IGMatch.
-type IGMatchOptions struct {
-	// Scheme selects the intersection-graph edge weighting
-	// (default SchemePaper).
-	Scheme WeightScheme
-	// Threshold, when positive, excludes nets above this size from the
-	// eigensolve's intersection graph (sparsification; completions remain
-	// exact).
-	Threshold int
-	// RecursionDepth enables the recursive completion extension.
-	RecursionDepth int
-	// Seed seeds the Lanczos starting vector (results are deterministic per
-	// seed; the default seed is fine for production use).
-	Seed int64
-	// BlockSize selects the block Lanczos engine with the given block width
-	// when > 1 — the paper's solver family, more robust on clustered or
-	// degenerate eigenvalues. ≤ 1 uses single-vector Lanczos.
-	BlockSize int
-	// Parallelism bounds the number of concurrent shards of the IG-Match
-	// sweep (0 = GOMAXPROCS, 1 = serial). The result is bit-identical for
-	// every value: shards reduce deterministically with metric ties broken
-	// by lowest split rank, matching the serial sweep order.
-	Parallelism int
-	// Reorth selects the Lanczos reorthogonalization mode. The default,
-	// ReorthAuto, keeps the historical full scheme below ReorthAutoCutoff
-	// nets and switches to selective (ω-recurrence-monitored)
-	// reorthogonalization above it; ReorthFull and ReorthSelective force
-	// either engine.
-	Reorth ReorthMode
-	// MatvecParallelism bounds the eigensolver's matvec workers (0 = auto:
-	// parallel for large circuits; 1 = serial; <0 = GOMAXPROCS). Results
-	// are bit-identical at every value.
-	MatvecParallelism int
-	// Rec, when non-nil, records per-stage timing spans and counters for
-	// the run (see NewTrace). Tracing never changes the result; leaving
-	// it nil costs nothing on the hot path.
-	Rec Recorder
-	// Ctx, when non-nil, enables cooperative cancellation: the pipeline
-	// polls it at sweep-split and Lanczos-cycle granularity and returns
-	// an error wrapping ctx.Err() promptly once it fires (use
-	// errors.Is(err, context.Canceled) / context.DeadlineExceeded to
-	// detect it). A nil or background context changes nothing — results
-	// stay bit-identical.
-	Ctx context.Context
-	// Fault, when non-nil, arms deterministic fault-injection points in
-	// the pipeline (see ParseFaultSpec). Nil — the production default —
-	// disarms every point at zero cost.
-	Fault *FaultInjector
-}
+// IGMatchOptions tunes IGMatch; its knobs are documented on
+// engine.Pipeline. The zero value is the paper's configuration.
+type IGMatchOptions = engine.Pipeline
 
 // IGMatchResult extends Result with IG-Match-specific detail.
 type IGMatchResult struct {
@@ -227,7 +174,7 @@ type IGMatchResult struct {
 
 // IGMatch partitions h with the paper's IG-Match algorithm.
 func IGMatch(h *Netlist, opts ...IGMatchOptions) (IGMatchResult, error) {
-	return igMatch(h, core.Partition, opts)
+	return igMatch(h, engine.Spec{Pipeline: first(opts)})
 }
 
 // IGMatchCandidates runs the million-net-scale variant of IG-Match: the
@@ -240,47 +187,26 @@ func IGMatch(h *Netlist, opts ...IGMatchOptions) (IGMatchResult, error) {
 // affordable and strictly at least as good; above ~10⁵ nets the
 // candidate sweep is the practical choice.
 func IGMatchCandidates(h *Netlist, candidates int, opts ...IGMatchOptions) (IGMatchResult, error) {
-	return igMatch(h, func(h *Netlist, co core.Options) (core.Result, error) {
-		return core.PartitionCandidates(h, candidates, co)
-	}, opts)
+	if candidates <= 0 {
+		candidates = core.DefaultCandidates
+	}
+	return igMatch(h, engine.Spec{Pipeline: first(opts), Candidates: candidates})
 }
 
-// coreOptions is the one IGMatchOptions-to-core mapping behind IGMatch,
-// IGMatchCandidates and WarmStart: it builds core.Options from the first
-// of opts, the zero value when absent.
-func coreOptions(opts []IGMatchOptions) core.Options {
-	var o IGMatchOptions
+// first returns the first of opts, the zero value when absent.
+func first[T any](opts []T) T {
+	var o T
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	return core.Options{
-		IG: netmodel.IGOptions{Scheme: o.Scheme, Threshold: o.Threshold},
-		Eigen: eigen.Options{
-			Seed: o.Seed, BlockSize: o.BlockSize,
-			ReorthMode: o.Reorth, MatvecWorkers: o.MatvecParallelism,
-		},
-		RecursionDepth: o.RecursionDepth,
-		Parallelism:    o.Parallelism,
-		Rec:            o.Rec,
-		Ctx:            o.Ctx,
-		Fault:          o.Fault,
-	}
+	return o
 }
 
-// igMatch runs solve under the core options of opts and lifts core's
-// result.
-func igMatch(h *Netlist, solve func(*Netlist, core.Options) (core.Result, error), opts []IGMatchOptions) (IGMatchResult, error) {
-	res, err := solve(h, coreOptions(opts))
-	if err != nil {
-		return IGMatchResult{}, err
-	}
-	return IGMatchResult{
-		Result:        Result{Partition: res.Partition, Metrics: res.Metrics},
-		Lambda2:       res.Lambda2,
-		NetOrder:      res.NetOrder,
-		BestRank:      res.BestRank,
-		MatchingBound: res.BestMatching,
-	}, nil
+// igMatch runs the igmatch engine under s and lifts its outcome.
+func igMatch(h *Netlist, s engine.Spec) (IGMatchResult, error) {
+	o, err := engine.Run(engine.IGMatch, h, s)
+	return IGMatchResult{Result: Result{Partition: o.Partition, Metrics: o.Metrics}, Lambda2: o.Lambda2,
+		NetOrder: o.NetOrder, BestRank: o.BestRank, MatchingBound: o.BestMatching}, err
 }
 
 // MultilevelOptions tunes MultilevelIGMatch.
@@ -295,36 +221,11 @@ type MultilevelOptions struct {
 	// factor; a matching round keeping more than this fraction of the nets
 	// stops the descent. Default 0.9.
 	CoarseningRatio float64
-	// Scheme selects the intersection-graph edge weighting, used both for
-	// the coarsest eigensolve and as the heavy-edge affinity for net
-	// matching (default SchemePaper).
-	Scheme WeightScheme
-	// Threshold excludes nets above this size from the eigensolve IG.
-	Threshold int
-	// Seed seeds the coarsest-level Lanczos starting vector.
-	Seed int64
-	// BlockSize selects block Lanczos at the coarsest level when > 1.
-	BlockSize int
-	// Parallelism bounds the concurrent sweep shards of the coarsest-level
-	// solve (0 = GOMAXPROCS, 1 = serial).
-	Parallelism int
-	// Reorth selects the coarsest-level Lanczos reorthogonalization mode
-	// (see IGMatchOptions.Reorth).
-	Reorth ReorthMode
-	// MatvecParallelism bounds the coarsest-level eigensolver's matvec
-	// workers (see IGMatchOptions.MatvecParallelism).
-	MatvecParallelism int
-	// Rec, when non-nil, records the V-cycle stage spans (coarsening
-	// rounds, coarsest-solve pipeline breakdown, per-level uncoarsening).
-	Rec Recorder
-	// Ctx, when non-nil, enables cooperative cancellation of the V-cycle:
-	// polled at every coarsening round and uncoarsening level and
-	// threaded into the coarsest-level solve. A nil or background context
-	// changes nothing.
-	Ctx context.Context
-	// Fault arms deterministic fault-injection points in the
-	// coarsest-level solve (see ParseFaultSpec). Nil disarms everything.
-	Fault *FaultInjector
+	// IGMatchOptions configures the coarsest-level solve, whose scheme
+	// also weighs the net matching at every level. Rec records the
+	// V-cycle's stage spans and Ctx is polled at every level too.
+	// RecursionDepth is not read.
+	IGMatchOptions
 }
 
 // MultilevelResult extends Result with V-cycle detail.
@@ -347,34 +248,12 @@ type MultilevelResult struct {
 // trade a bounded amount of quality for a much cheaper eigensolve and
 // sweep.
 func MultilevelIGMatch(h *Netlist, opts ...MultilevelOptions) (MultilevelResult, error) {
-	var o MultilevelOptions
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	res, err := multilevel.Partition(h, multilevel.Options{
-		Levels:          o.Levels,
-		CoarseningRatio: o.CoarseningRatio,
-		Core: core.Options{
-			IG: netmodel.IGOptions{Scheme: o.Scheme, Threshold: o.Threshold},
-			Eigen: eigen.Options{
-				Seed: o.Seed, BlockSize: o.BlockSize,
-				ReorthMode: o.Reorth, MatvecWorkers: o.MatvecParallelism,
-			},
-			Parallelism: o.Parallelism,
-			Ctx:         o.Ctx,
-			Fault:       o.Fault,
-		},
-		Rec: o.Rec,
+	o := first(opts)
+	out, err := engine.Run(engine.Multilevel, h, engine.Spec{
+		Pipeline: o.IGMatchOptions, Levels: o.Levels, CoarseningRatio: o.CoarseningRatio,
 	})
-	if err != nil {
-		return MultilevelResult{}, err
-	}
-	return MultilevelResult{
-		Result:          Result{Partition: res.Partition, Metrics: res.Metrics},
-		Levels:          res.Levels,
-		CoarsestNets:    res.CoarsestNets,
-		CoarsestOnInput: res.CoarsestOnInput,
-	}, nil
+	return MultilevelResult{Result: Result{Partition: out.Partition, Metrics: out.Metrics},
+		Levels: out.Levels, CoarsestNets: out.CoarsestNets, CoarsestOnInput: out.CoarsestOnInput}, err
 }
 
 // PortfolioOptions tunes Portfolio.
@@ -423,18 +302,12 @@ func ExtractFeatures(h *Netlist) NetlistFeatures { return features.Extract(h) }
 // wins and cancels the losers, otherwise the best result standing at
 // the deadline wins.
 func Portfolio(h *Netlist, opts ...PortfolioOptions) (PortfolioResult, error) {
-	var o PortfolioOptions
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	return portfolio.Race(h, portfolio.Options{
-		Budget:      o.Budget,
-		Accept:      o.Accept,
-		Parallelism: o.Parallelism,
-		Seed:        o.Seed,
-		Rec:         o.Rec,
-		Ctx:         o.Ctx,
+	o := first(opts)
+	out, err := engine.Run(engine.Portfolio, h, engine.Spec{
+		Pipeline: engine.Pipeline{Seed: o.Seed, Parallelism: o.Parallelism, Rec: o.Rec, Ctx: o.Ctx},
+		Budget:   o.Budget, Accept: o.Accept,
 	})
+	return out.Race, err
 }
 
 // NetlistDelta is an ECO (engineering change order) against a base
@@ -457,60 +330,42 @@ type WarmStartResult = portfolio.WarmResult
 // a cold solve. An empty delta reproduces the base result bit for bit.
 // opts map onto the solver exactly as for IGMatch.
 func WarmStart(h *Netlist, base IGMatchResult, d NetlistDelta, opts ...IGMatchOptions) (WarmStartResult, error) {
-	return portfolio.WarmStart(h, base.NetOrder, base.BestRank, d, coreOptions(opts))
+	out, err := engine.Run(engine.IGMatch, h, engine.Spec{
+		Pipeline: first(opts),
+		Warm:     &engine.Warm{Order: base.NetOrder, Rank: base.BestRank, Delta: d},
+	})
+	return WarmStartResult{Result: out.Result, H: out.H, Cold: out.Cold, TouchedNets: out.TouchedNets}, err
+}
+
+// bipartition runs the named engine on h under s and returns its
+// bipartition.
+func bipartition(name string, h *Netlist, s engine.Spec) (Result, error) {
+	out, err := engine.Run(name, h, s)
+	return Result{Partition: out.Partition, Metrics: out.Metrics}, err
 }
 
 // IGVote partitions h with the Hagen–Kahng IG-Vote heuristic (the EIG1-IG
 // algorithm of the paper's Appendix B).
-func IGVote(h *Netlist) (Result, error) {
-	res, err := igvote.Partition(h, igvote.Options{})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Partition: res.Partition, Metrics: res.Metrics}, nil
-}
+func IGVote(h *Netlist) (Result, error) { return bipartition(engine.IGVote, h, engine.Spec{}) }
 
 // EIG1 partitions h with the Hagen–Kahng module-side spectral heuristic
 // (clique net model, sorted Fiedler vector, best ratio-cut split).
-func EIG1(h *Netlist) (Result, error) {
-	res, err := spectral.Partition(h, spectral.Options{})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Partition: res.Partition, Metrics: res.Metrics}, nil
-}
+func EIG1(h *Netlist) (Result, error) { return bipartition(engine.EIG1, h, engine.Spec{}) }
 
 // RCut partitions h with the multi-start FM-style ratio-cut optimizer
 // standing in for Wei–Cheng RCut1.0. starts ≤ 0 selects the paper's
 // best-of-10.
 func RCut(h *Netlist, starts int, seed int64) (Result, error) {
-	if starts <= 0 {
-		starts = 10
-	}
-	res, err := fm.RatioCut(h, fm.Options{Starts: starts, Seed: seed})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Partition: res.Partition, Metrics: res.Metrics}, nil
+	return bipartition(engine.RCut, h, engine.Spec{Pipeline: engine.Pipeline{Seed: seed}, Starts: starts})
 }
 
 // IGDiam partitions h with the diameter-based intersection-graph heuristic
 // (Kahng, DAC 1989 — the earliest IG partitioner the paper cites).
-func IGDiam(h *Netlist) (Result, error) {
-	res, err := igdiam.Partition(h)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Partition: res.Partition, Metrics: res.Metrics}, nil
-}
+func IGDiam(h *Netlist) (Result, error) { return bipartition(engine.IGDiam, h, engine.Spec{}) }
 
 // KL bisects h with Kernighan–Lin on the clique-model graph.
 func KL(h *Netlist, seed int64) (Result, error) {
-	res, err := kl.Bisect(h, kl.Options{Seed: seed})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Partition: res.Partition, Metrics: res.Metrics}, nil
+	return bipartition(engine.KL, h, engine.Spec{Pipeline: engine.Pipeline{Seed: seed}})
 }
 
 // Anneal partitions h with simulated annealing on the ratio-cut objective
@@ -548,23 +403,11 @@ func MinNetCutBetween(h *Netlist, s, t int) (Result, int, error) {
 // Refined runs IG-Match and polishes the result with ratio-cut FM passes
 // (the Section 5 hybrid). The refined result is never worse than the pure
 // spectral one.
-func Refined(h *Netlist) (Result, error) {
-	res, err := refine.IGMatchFM(h, core.Options{}, fm.Options{})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Partition: res.Partition, Metrics: res.Refined}, nil
-}
+func Refined(h *Netlist) (Result, error) { return bipartition(engine.Refined, h, engine.Spec{}) }
 
 // Condensed runs the cluster-condensation pipeline: coarsen by heavy
 // matching, IG-Match on the coarse circuit, project, FM-polish.
-func Condensed(h *Netlist) (Result, error) {
-	res, err := condense.Partition(h, condense.Options{})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Partition: res.Partition, Metrics: res.Metrics}, nil
-}
+func Condensed(h *Netlist) (Result, error) { return bipartition(engine.Condensed, h, engine.Spec{}) }
 
 // Recorder is the pipeline observability hook: a hierarchical stage-span
 // handle with counters plus a run-wide metrics registry. Pass a Recorder
@@ -624,7 +467,8 @@ type MultiwayResult = multiway.Result
 // bisection with no imbalance budget — the legacy behavior. Use KWay for
 // the balanced (k, ε, fixed-module) contract.
 func Multiway(h *Netlist, k int) (MultiwayResult, error) {
-	return multiway.Partition(h, multiway.Options{K: k, Eps: multiway.Unbounded})
+	out, err := engine.Run(engine.Multiway, h, engine.Spec{K: k})
+	return out.KWay, err
 }
 
 // EpsUnbounded disables the KWay imbalance budget: parts may be any size
@@ -655,18 +499,9 @@ type KWayOptions struct {
 	// that many evenly spaced splits (the scalable candidate sweep)
 	// instead of sweeping its whole balance window.
 	Candidates int
-	// The pipeline knobs below mirror IGMatchOptions and apply to every
-	// bisection (or to the spectral-k eigensolve).
-	Scheme            WeightScheme
-	Threshold         int
-	Seed              int64
-	BlockSize         int
-	Parallelism       int
-	Reorth            ReorthMode
-	MatvecParallelism int
-	Rec               Recorder
-	Ctx               context.Context
-	Fault             *FaultInjector
+	// IGMatchOptions applies to every bisection (or to the spectral-k
+	// eigensolve). RecursionDepth is not read.
+	IGMatchOptions
 }
 
 // KWay produces a balanced k-way module partition of h: exactly k
@@ -675,24 +510,15 @@ type KWayOptions struct {
 // fixed modules the recursive engine reduces bit-for-bit to the IGMatch
 // bisection.
 func KWay(h *Netlist, k int, opts ...KWayOptions) (MultiwayResult, error) {
-	var o KWayOptions
-	if len(opts) > 0 {
-		o = opts[0]
+	o := first(opts)
+	name := engine.KWay
+	if o.Spectral {
+		name = engine.KWaySpectral
 	}
-	return multiway.Partition(h, multiway.Options{
-		K: k, Eps: o.Eps, Fixed: o.Fixed, Spectral: o.Spectral, Candidates: o.Candidates,
-		Core: core.Options{
-			IG: netmodel.IGOptions{Scheme: o.Scheme, Threshold: o.Threshold},
-			Eigen: eigen.Options{
-				Seed: o.Seed, BlockSize: o.BlockSize,
-				ReorthMode: o.Reorth, MatvecWorkers: o.MatvecParallelism,
-			},
-			Parallelism: o.Parallelism,
-			Rec:         o.Rec,
-			Ctx:         o.Ctx,
-			Fault:       o.Fault,
-		},
+	out, err := engine.Run(name, h, engine.Spec{
+		Pipeline: o.IGMatchOptions, Candidates: o.Candidates, K: k, Eps: o.Eps, Fixed: o.Fixed,
 	})
+	return out.KWay, err
 }
 
 // EvaluateMultiway computes the multiway metrics for an arbitrary part

@@ -10,17 +10,12 @@ import (
 	"math"
 	"time"
 
-	"igpart/internal/core"
 	"igpart/internal/eigen"
-	"igpart/internal/fm"
+	"igpart/internal/engine"
 	"igpart/internal/hypergraph"
-	"igpart/internal/igdiam"
-	"igpart/internal/igvote"
-	"igpart/internal/multilevel"
 	"igpart/internal/netgen"
 	"igpart/internal/obs"
 	"igpart/internal/partition"
-	"igpart/internal/spectral"
 )
 
 // Suite controls a harness run.
@@ -94,13 +89,16 @@ func (s Suite) generate(base []netgen.Config) ([]netgen.Config, []*hypergraph.Hy
 	return cfgs, hs, nil
 }
 
-// eigenOpts is the eigensolver configuration the suite's IG-Match runs
-// share.
-func (s Suite) eigenOpts() eigen.Options {
-	return eigen.Options{ReorthMode: s.Reorth, MatvecWorkers: s.MatvecWorkers}
+// spec is the engine spec the suite's runs share, recording into rec:
+// the sweep parallelism, the eigensolver knobs, the V-cycle depth and
+// the RCut starts. Every engine reads the ones in its read set.
+func (s Suite) spec(rec obs.Recorder) engine.Spec {
+	return engine.Spec{Pipeline: engine.Pipeline{
+		Parallelism: s.Parallelism, Reorth: s.Reorth, MatvecParallelism: s.MatvecWorkers, Rec: rec,
+	}, Levels: s.Levels, Starts: s.RCutStarts}
 }
 
-// Algorithm names used across tables.
+// Algorithm names used across tables: the engine labels.
 const (
 	AlgIGMatch    = "IG-Match"
 	AlgMultilevel = "ML-IGMatch"
@@ -110,48 +108,24 @@ const (
 	AlgIGDiam     = "IG-Diam"
 )
 
-// Run executes one named algorithm on a circuit, returning its metrics and
-// wall-clock time.
+// Run executes the engine labelled alg on a circuit, returning its
+// metrics and wall-clock time.
 func (s Suite) Run(alg string, h *hypergraph.Hypergraph) (partition.Metrics, time.Duration, error) {
 	s = s.withDefaults()
-	sp := obs.OrNop(s.Rec).StartSpan(alg)
-	defer sp.End()
-	t0 := time.Now()
-	var met partition.Metrics
-	var err error
-	switch alg {
-	case AlgIGMatch:
-		var r core.Result
-		r, err = core.Partition(h, core.Options{Parallelism: s.Parallelism, Eigen: s.eigenOpts(), Rec: sp})
-		met = r.Metrics
-	case AlgMultilevel:
-		var r multilevel.Result
-		r, err = multilevel.Partition(h, multilevel.Options{
-			Levels: s.Levels,
-			Core:   core.Options{Parallelism: s.Parallelism, Eigen: s.eigenOpts()},
-			Rec:    sp,
-		})
-		met = r.Metrics
-	case AlgIGVote:
-		var r igvote.Result
-		r, err = igvote.Partition(h, igvote.Options{})
-		met = r.Metrics
-	case AlgEIG1:
-		var r spectral.Result
-		r, err = spectral.Partition(h, spectral.Options{})
-		met = r.Metrics
-	case AlgRCut:
-		var r fm.Result
-		r, err = fm.RatioCut(h, fm.Options{Starts: s.RCutStarts, Seed: 1 + s.Seed})
-		met = r.Metrics
-	case AlgIGDiam:
-		var r igdiam.Result
-		r, err = igdiam.Partition(h)
-		met = r.Metrics
-	default:
+	e, ok := engine.ByLabel(alg)
+	if !ok {
 		return partition.Metrics{}, 0, fmt.Errorf("bench: unknown algorithm %q", alg)
 	}
-	return met, time.Since(t0), err
+	sp := obs.OrNop(s.Rec).StartSpan(alg)
+	defer sp.End()
+	spec := s.spec(sp)
+	if alg == AlgRCut {
+		// The RCut starts are seeded; the eigensolves keep seed 0.
+		spec.Seed = 1 + s.Seed
+	}
+	t0 := time.Now()
+	out, err := e.Run(h, spec)
+	return out.Metrics, time.Since(t0), err
 }
 
 // ImprovementPct is the paper's "Percent improvement" column: the relative

@@ -3,9 +3,8 @@ package bench
 import (
 	"fmt"
 
-	"igpart/internal/core"
+	"igpart/internal/engine"
 	"igpart/internal/hypergraph"
-	"igpart/internal/multiway"
 	"igpart/internal/obs"
 )
 
@@ -37,12 +36,12 @@ func (s Suite) kwayRuns(h *hypergraph.Hypergraph, rec obs.Recorder) ([]AlgRun, e
 		if h.NumModules() < k {
 			continue
 		}
-		for _, engine := range []string{EngineRecursive, EngineSpectral} {
-			steps = append(steps, step{kwayAlg(engine, k), func(sp obs.Recorder) (AlgRun, error) {
-				res, err := multiway.Partition(h, multiway.Options{
-					K: k, Eps: kwayEps, Spectral: engine == EngineSpectral,
-					Core: core.Options{Eigen: s.eigenOpts(), Parallelism: s.Parallelism, Rec: sp},
-				})
+		for _, e := range [...]struct{ cell, name string }{{EngineRecursive, engine.KWay}, {EngineSpectral, engine.KWaySpectral}} {
+			steps = append(steps, step{kwayAlg(e.cell, k), func(sp obs.Recorder) (AlgRun, error) {
+				spec := s.spec(sp)
+				spec.K, spec.Eps = k, kwayEps
+				out, err := engine.Run(e.name, h, spec)
+				res := out.KWay
 				return AlgRun{RatioCut: res.RatioValue, KWay: &KWayCell{
 					K: k, Eps: kwayEps, Cap: res.Cap,
 					SpanningNets: res.SpanningNets,

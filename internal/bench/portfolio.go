@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"igpart/internal/core"
+	"igpart/internal/engine"
 	"igpart/internal/hypergraph"
 	"igpart/internal/obs"
 	"igpart/internal/portfolio"
@@ -36,32 +36,34 @@ func (s Suite) portfolioRuns(h *hypergraph.Hypergraph, rec obs.Recorder) ([]AlgR
 		delta.RemoveNets[i] = h.NumNets() - touched + i
 	}
 	edited, _ := delta.Apply(h)
-	eo := s.eigenOpts()
-	eo.Seed = s.Seed
-	opts := func(sp obs.Recorder) core.Options {
-		return core.Options{Parallelism: s.Parallelism, Eigen: eo, Rec: sp}
+	seeded := func(sp obs.Recorder) engine.Spec {
+		spec := s.spec(sp)
+		spec.Seed = s.Seed
+		return spec
 	}
-	var base core.Result // the fixed row, warm-start base for the ECO rows
+	var base engine.Outcome // the fixed row, warm-start base for the ECO rows
 	return runSteps(rec, []step{
 		{AlgPortfolioRace, func(sp obs.Recorder) (AlgRun, error) {
-			race, err := portfolio.Race(h, portfolio.Options{Parallelism: s.Parallelism, Seed: s.Seed, Rec: sp})
-			sp.Metrics().Gauge("portfolio.report.winner_is_igmatch").Set(b2f(race.Winner == portfolio.AlgIGMatch))
+			race, err := engine.Run(engine.Portfolio, h, seeded(sp))
+			sp.Metrics().Gauge("portfolio.report.winner_is_igmatch").Set(b2f(race.Race.Winner == portfolio.AlgIGMatch))
 			return bipartition(race.Metrics, err)
 		}},
 		{AlgPortfolioFixed, func(sp obs.Recorder) (AlgRun, error) {
 			var err error
-			base, err = core.Partition(h, opts(sp))
+			base, err = engine.Run(engine.IGMatch, h, seeded(sp))
 			return bipartition(base.Metrics, err)
 		}},
 		{AlgECOWarm, func(sp obs.Recorder) (AlgRun, error) {
-			warm, err := portfolio.WarmStart(h, base.NetOrder, base.BestRank, delta, opts(sp))
-			if err == nil && warm.Cold {
+			warm := seeded(sp)
+			warm.Warm = &engine.Warm{Order: base.NetOrder, Rank: base.BestRank, Delta: delta}
+			out, err := engine.Run(engine.IGMatch, h, warm)
+			if err == nil && out.Cold {
 				err = fmt.Errorf("%d-net delta fell back to a cold solve", touched)
 			}
-			return bipartition(warm.Metrics, err)
+			return bipartition(out.Metrics, err)
 		}},
 		{AlgECOCold, func(sp obs.Recorder) (AlgRun, error) {
-			cold, err := core.Partition(edited, opts(sp))
+			cold, err := engine.Run(engine.IGMatch, edited, seeded(sp))
 			return bipartition(cold.Metrics, err)
 		}},
 	})

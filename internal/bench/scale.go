@@ -3,6 +3,7 @@ package bench
 import (
 	"igpart/internal/core"
 	"igpart/internal/eigen"
+	"igpart/internal/engine"
 	"igpart/internal/hypergraph"
 	"igpart/internal/obs"
 )
@@ -29,10 +30,10 @@ func (s Suite) scaleRuns(h *hypergraph.Hypergraph, rec obs.Recorder) ([]AlgRun, 
 		mode eigen.ReorthMode
 	}{{AlgScaleSelective, eigen.ReorthSelective}, {AlgScaleFull, eigen.ReorthFull}} {
 		steps = append(steps, step{run.alg, func(sp obs.Recorder) (AlgRun, error) {
-			opts := core.Options{Parallelism: s.Parallelism, Eigen: s.eigenOpts(), Rec: sp}
-			opts.Eigen.ReorthMode = run.mode
-			res, err := core.PartitionCandidates(h, core.DefaultCandidates, opts)
-			return bipartition(res.Metrics, err)
+			spec := s.spec(sp)
+			spec.Reorth, spec.Candidates = run.mode, core.DefaultCandidates
+			out, err := engine.Run(engine.IGMatch, h, spec)
+			return bipartition(out.Metrics, err)
 		}})
 	}
 	return runSteps(rec, steps)

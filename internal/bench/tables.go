@@ -9,8 +9,8 @@ import (
 	"igpart/internal/condense"
 	"igpart/internal/core"
 	"igpart/internal/eigen"
+	"igpart/internal/engine"
 	"igpart/internal/fm"
-	"igpart/internal/multilevel"
 	"igpart/internal/netgen"
 	"igpart/internal/netmodel"
 	"igpart/internal/obs"
@@ -771,11 +771,8 @@ func (s Suite) MultilevelTable() ([]MultilevelRow, error) {
 		}
 		mtr := obs.NewTrace("multilevel")
 		t0 = time.Now()
-		ml, err := multilevel.Partition(h, multilevel.Options{
-			Levels: s.Levels,
-			Core:   core.Options{Parallelism: s.Parallelism},
-			Rec:    mtr,
-		})
+		ml, err := engine.Run(engine.Multilevel, h, engine.Spec{
+			Pipeline: engine.Pipeline{Parallelism: s.Parallelism, Rec: mtr}, Levels: s.Levels})
 		mt := time.Since(t0)
 		mtr.End()
 		if err != nil {

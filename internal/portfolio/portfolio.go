@@ -23,14 +23,10 @@ import (
 	"sync"
 	"time"
 
-	"igpart/internal/core"
-	"igpart/internal/eigen"
 	"igpart/internal/features"
 	"igpart/internal/hypergraph"
-	"igpart/internal/multilevel"
 	"igpart/internal/obs"
 	"igpart/internal/partition"
-	"igpart/internal/spectral"
 )
 
 // Contender algorithm names. The first three match the bench suite's
@@ -56,10 +52,6 @@ type Options struct {
 	// the rest are cancelled. 0 disables early acceptance, making the
 	// outcome independent of contender timing (best result wins).
 	Accept float64
-	// Parallelism is passed through to each contender's sweep.
-	Parallelism int
-	// Seed seeds the contenders' eigensolvers.
-	Seed int64
 	// Rec receives one span per contender plus race-level counters
 	// (portfolio.started, portfolio.cancelled, portfolio.winner.<alg>).
 	Rec obs.Recorder
@@ -134,67 +126,23 @@ type outcome struct {
 // promptly.
 type runFunc func(ctx context.Context, h *hypergraph.Hypergraph, rec obs.Recorder) (outcome, error)
 
-func (o Options) engine(alg string) (runFunc, error) {
-	coreOpts := func(ctx context.Context, rec obs.Recorder) core.Options {
-		return core.Options{
-			Parallelism: o.Parallelism,
-			Eigen:       eigen.Options{Seed: o.Seed},
-			Rec:         rec,
-			Ctx:         ctx,
-		}
-	}
-	// igMatch runs one of the IG-Match sweeps as a contender; its result
-	// keeps the net order and winning rank that warm starts reuse.
-	igMatch := func(solve func(*hypergraph.Hypergraph, core.Options) (core.Result, error)) runFunc {
-		return func(ctx context.Context, h *hypergraph.Hypergraph, rec obs.Recorder) (outcome, error) {
-			r, err := solve(h, coreOpts(ctx, rec))
-			if err != nil {
-				return outcome{}, err
-			}
-			return outcome{part: r.Partition, met: r.Metrics, netOrder: r.NetOrder, bestRank: r.BestRank, lambda2: r.Lambda2}, nil
-		}
-	}
-	switch alg {
-	case AlgIGMatch:
-		return igMatch(core.Partition), nil
-	case AlgCandidates:
-		return igMatch(func(h *hypergraph.Hypergraph, co core.Options) (core.Result, error) {
-			return core.PartitionCandidates(h, 0, co)
-		}), nil
-	case AlgMultilevel:
-		return func(ctx context.Context, h *hypergraph.Hypergraph, rec obs.Recorder) (outcome, error) {
-			r, err := multilevel.Partition(h, multilevel.Options{Core: coreOpts(ctx, obs.Nop), Rec: rec})
-			if err != nil {
-				return outcome{}, err
-			}
-			return outcome{part: r.Partition, met: r.Metrics, lambda2: r.Coarsest.Lambda2}, nil
-		}, nil
-	case AlgEIG1:
-		return func(ctx context.Context, h *hypergraph.Hypergraph, rec obs.Recorder) (outcome, error) {
-			r, err := spectral.Partition(h, spectral.Options{Eigen: eigen.Options{Seed: o.Seed, Ctx: ctx, Rec: rec}})
-			if err != nil {
-				return outcome{}, err
-			}
-			return outcome{part: r.Partition, met: r.Metrics, lambda2: r.Lambda2}, nil
-		}, nil
-	default:
-		return nil, fmt.Errorf("portfolio: unknown contender %q", alg)
-	}
-}
+// Runner runs the contender named alg on h under ctx, recording into
+// rec, and fills the winner fields of a Result: the partition, its
+// metrics and any sweep state. The engine table supplies it.
+type Runner func(ctx context.Context, alg string, h *hypergraph.Hypergraph, rec obs.Recorder) (Result, error)
 
 // Race runs the portfolio on h: lineup selection from the feature
-// vector, then all contenders concurrently under one budgeted context.
-// See Options for the win conditions.
-func Race(h *hypergraph.Hypergraph, opts Options) (Result, error) {
+// vector, then all contenders concurrently under one budgeted context,
+// each run by run. See Options for the win conditions.
+func Race(h *hypergraph.Hypergraph, opts Options, run Runner) (Result, error) {
 	v := features.Extract(h)
 	lineup := Lineup(v)
 	runs := make([]runFunc, len(lineup))
 	for i, alg := range lineup {
-		rf, err := opts.engine(alg)
-		if err != nil {
-			return Result{}, err
+		runs[i] = func(ctx context.Context, h *hypergraph.Hypergraph, rec obs.Recorder) (outcome, error) {
+			r, err := run(ctx, alg, h, rec)
+			return outcome{part: r.Partition, met: r.Metrics, netOrder: r.NetOrder, bestRank: r.BestRank, lambda2: r.Lambda2}, err
 		}
-		runs[i] = rf
 	}
 	res, err := race(h, lineup, runs, opts)
 	if err != nil {

@@ -6,15 +6,10 @@ import (
 	"testing"
 	"time"
 
-	"igpart/internal/features"
 	"igpart/internal/hypergraph"
 	"igpart/internal/obs"
 	"igpart/internal/partition"
 )
-
-func featuresVecOf(class string) features.Vector {
-	return features.Vector{Class: features.Class(class)}
-}
 
 // fakeOutcome builds a trivial valid outcome with the given ratio cut.
 func fakeOutcome(ratio float64) outcome {
@@ -135,53 +130,5 @@ func TestRaceFailedContenderSurfacesOthers(t *testing.T) {
 	}
 	if res.Contenders[0].Err == nil || res.Contenders[0].Cancelled {
 		t.Fatalf("failed contender misreported: %+v", res.Contenders[0])
-	}
-}
-
-// TestRaceRealEngines runs the genuine lineup on a small circuit.
-func TestRaceRealEngines(t *testing.T) {
-	h := genCircuit(t, 300, 330, 42)
-	tr := obs.NewTrace("race")
-	res, err := Race(h, Options{Budget: 30 * time.Second, Seed: 1, Rec: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Winner == "" || res.Partition == nil {
-		t.Fatalf("no winner: %+v", res)
-	}
-	if res.Features.Class == "" {
-		t.Fatal("features not attached")
-	}
-	want := int64(len(Lineup(res.Features)))
-	if got := tr.Metrics().Counter("portfolio.started").Value(); got != want {
-		t.Fatalf("portfolio.started = %d, want %d", got, want)
-	}
-	if res.Metrics.RatioCut <= 0 {
-		t.Fatalf("ratio cut %g", res.Metrics.RatioCut)
-	}
-	// The winner's cached sweep state must be usable for warm starts
-	// when present.
-	if len(res.NetOrder) > 0 && res.BestRank < 1 {
-		t.Fatalf("net order without best rank: %d", res.BestRank)
-	}
-}
-
-// TestLineupCoversClasses: every class yields a non-empty lineup of
-// known engines.
-func TestLineupCoversClasses(t *testing.T) {
-	known := map[string]bool{AlgIGMatch: true, AlgMultilevel: true, AlgEIG1: true, AlgCandidates: true}
-	for _, c := range []string{"tiny", "sparse", "dense", "large"} {
-		l := Lineup(featuresVecOf(c))
-		if len(l) == 0 {
-			t.Fatalf("class %s: empty lineup", c)
-		}
-		for _, alg := range l {
-			if !known[alg] {
-				t.Fatalf("class %s: unknown engine %q", c, alg)
-			}
-			if _, err := (Options{}).engine(alg); err != nil {
-				t.Fatalf("class %s: %v", c, err)
-			}
-		}
 	}
 }

@@ -84,31 +84,47 @@ func TestChaosWorkerPanicSurvives100(t *testing.T) {
 // TestChaosEigenNoConvergeSameCut pins the acceptance criterion for the
 // eigen fallback chain end to end: with eigen.noconverge always firing,
 // a job on a circuit within the dense-fallback cutoff must converge via
-// the Jacobi rescue to the same ratio cut as a clean run.
+// the Jacobi rescue to the same ratio cut as a clean run. The portfolio
+// case holds the race's contenders to the same: the engine's injector
+// reaches their eigensolves.
 func TestChaosEigenNoConvergeSameCut(t *testing.T) {
 	h := genNetlist(t, 150, 180, 9) // 180 nets ≤ default cutoff 512
-	inj := mustInjector(t, 5, fault.Rule{Point: fault.EigenNoConverge})
-	e := New(Config{Workers: 1, Fault: inj})
-	defer shutdownNow(t, e)
+	cleanRun := map[string]func() (igpart.Metrics, error){
+		AlgoIGMatch: func() (igpart.Metrics, error) {
+			r, err := igpart.IGMatch(h)
+			return r.Metrics, err
+		},
+		AlgoPortfolio: func() (igpart.Metrics, error) {
+			r, err := igpart.Portfolio(h)
+			return r.Metrics, err
+		},
+	}
+	for _, algo := range []string{AlgoIGMatch, AlgoPortfolio} {
+		t.Run(algo, func(t *testing.T) {
+			inj := mustInjector(t, 5, fault.Rule{Point: fault.EigenNoConverge})
+			e := New(Config{Workers: 1, Fault: inj})
+			defer shutdownNow(t, e)
 
-	j, err := e.Submit(Request{Netlist: h})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	s := j.Wait(context.Background())
-	if s.State != jobreg.StateDone {
-		t.Fatalf("state=%s err=%v, want done via Jacobi fallback", s.State, s.Err)
-	}
-	if inj.Fires(fault.EigenNoConverge) == 0 {
-		t.Fatal("eigen.noconverge never fired")
-	}
-	clean, err := igpart.IGMatch(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Result.Metrics.RatioCut != clean.Metrics.RatioCut {
-		t.Fatalf("fallback ratio cut %v != clean %v",
-			s.Result.Metrics.RatioCut, clean.Metrics.RatioCut)
+			j, err := e.Submit(Request{Netlist: h, Options: Options{Algo: algo}})
+			if err != nil {
+				t.Fatalf("submit: %v", err)
+			}
+			s := j.Wait(context.Background())
+			if s.State != jobreg.StateDone {
+				t.Fatalf("state=%s err=%v, want done via Jacobi fallback", s.State, s.Err)
+			}
+			if inj.Fires(fault.EigenNoConverge) == 0 {
+				t.Fatal("eigen.noconverge never fired")
+			}
+			clean, err := cleanRun[algo]()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Result.Metrics.RatioCut != clean.RatioCut {
+				t.Fatalf("fallback ratio cut %v != clean %v",
+					s.Result.Metrics.RatioCut, clean.RatioCut)
+			}
+		})
 	}
 }
 

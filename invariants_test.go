@@ -2,10 +2,13 @@ package igpart
 
 import (
 	"math"
+	"strings"
 	"testing"
+
+	"igpart/internal/engine"
 )
 
-// algUnderTest names one façade algorithm and adapts it to the common
+// algUnderTest names one algorithm and adapts it to the common
 // (Result, error) shape so every partitioner goes through the same
 // invariant checks.
 type algUnderTest struct {
@@ -13,22 +16,29 @@ type algUnderTest struct {
 	run  func(h *Netlist) (Result, error)
 }
 
+// allAlgorithms lists every bipartition engine of the table, named by
+// its label without hyphens and run at seed 7 (RCut with 3 starts),
+// plus the candidate sweep and the two façade partitioners outside the
+// table.
 func allAlgorithms() []algUnderTest {
-	return []algUnderTest{
-		{"IGMatch", func(h *Netlist) (Result, error) {
-			r, err := IGMatch(h)
+	var algs []algUnderTest
+	for _, e := range engine.Engines() {
+		if e.KWay {
+			continue
+		}
+		algs = append(algs, algUnderTest{strings.ReplaceAll(e.Label, "-", ""), func(h *Netlist) (Result, error) {
+			out, err := e.Run(h, engine.Spec{Pipeline: engine.Pipeline{Seed: 7}, Starts: 3})
+			return Result{Partition: out.Partition, Metrics: out.Metrics}, err
+		}})
+	}
+	return append(algs,
+		algUnderTest{"IGCandidates", func(h *Netlist) (Result, error) {
+			r, err := IGMatchCandidates(h, 0)
 			return r.Result, err
 		}},
-		{"IGVote", IGVote},
-		{"EIG1", EIG1},
-		{"KL", func(h *Netlist) (Result, error) { return KL(h, 7) }},
-		{"Anneal", func(h *Netlist) (Result, error) { return Anneal(h, 7) }},
-		{"MinCut", MinCut},
-		{"Refined", Refined},
-		{"Condensed", Condensed},
-		{"IGDiam", IGDiam},
-		{"RCut", func(h *Netlist) (Result, error) { return RCut(h, 3, 7) }},
-	}
+		algUnderTest{"Anneal", func(h *Netlist) (Result, error) { return Anneal(h, 7) }},
+		algUnderTest{"MinCut", MinCut},
+	)
 }
 
 // TestAlgorithmMetricsInvariants re-derives every algorithm's reported
